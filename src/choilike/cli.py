@@ -66,6 +66,15 @@ class AnalysisRequest:
             seed=self.seed, starts=self.starts, violation_tolerance=self.tolerance
         )
 
+    def report_config(self) -> dict:
+        """The settings echoed in every report, in a fixed key order."""
+        return {
+            "tolerance": self.tolerance,
+            "seed": self.seed,
+            "starts": self.starts,
+            "format": self.output_format,
+        }
+
 
 def _reject_non_finite(token: str):
     raise ValueError(f"non-finite value {token!r} in input")
@@ -91,6 +100,10 @@ def read_matrix_file(path: str) -> tuple[CoefficientMatrix, np.ndarray | None]:
     x = None
     if "X" in data:
         rows = data["X"]
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == len(rows) for row in rows
+        ):
+            raise ValueError("X must be a square matrix given as a list of rows")
         x = require_hermitian([[_entry_to_complex(e) for e in row] for row in rows])
         if x.shape[0] != a.n:
             raise ValueError("X must have the same dimension as A")
@@ -263,13 +276,7 @@ def run_analysis(
                 "image_psd": chk.psd,
             }
         }
-    config = {
-        "tolerance": request.tolerance,
-        "seed": request.seed,
-        "starts": request.starts,
-        "format": request.output_format,
-    }
-    return build_document(A, report, violation, witness, config, summary, extra)
+    return build_document(A, report, violation, witness, request.report_config(), summary, extra)
 
 
 def cmd_analyze(request: AnalysisRequest) -> dict:
@@ -282,13 +289,7 @@ def cmd_search(request: AnalysisRequest) -> dict:
     cfg = request.search_config()
     violation = find_positivity_violation(A, cfg)
     summary = ("not_positive_proven",) if violation else ("inconclusive",)
-    config = {
-        "tolerance": request.tolerance,
-        "seed": request.seed,
-        "starts": request.starts,
-        "format": request.output_format,
-    }
-    return build_document(A, None, violation, None, config, summary)
+    return build_document(A, None, violation, None, request.report_config(), summary)
 
 
 def cmd_probe(request: AnalysisRequest) -> dict:
@@ -296,13 +297,7 @@ def cmd_probe(request: AnalysisRequest) -> dict:
     cfg = request.search_config()
     witness = indecomposability_probe(A, cfg)
     summary = ("indecomposable_proven",) if witness else ("inconclusive",)
-    config = {
-        "tolerance": request.tolerance,
-        "seed": request.seed,
-        "starts": request.starts,
-        "format": request.output_format,
-    }
-    return build_document(A, None, None, witness, config, summary)
+    return build_document(A, None, None, witness, request.report_config(), summary)
 
 
 def counterexample_instance() -> tuple[CoefficientMatrix, np.ndarray]:

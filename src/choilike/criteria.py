@@ -502,11 +502,14 @@ def full_report(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Cond
         c = A.c_cyclic
         k = KyeParams(float(A.a_diag[0]), float(c[0]), float(c[1]), float(c[2]))
         kye_verdict = kye_check(k, band)
-        if affirmative(kye_verdict):
-            positive_reasons.append("kye")
-            indecomposable_reasons.append("kye")
-        elif refuted(kye_verdict) and k.a < 2.0 - band:
-            not_positive_reasons.append("kye")
+        # kye_check needs a < 2 strictly; its marginal a = 2 edge is the
+        # completely positive (decomposable) boundary, where it proves nothing
+        if k.a < 2.0 - band:
+            if affirmative(kye_verdict):
+                positive_reasons.append("kye")
+                indecomposable_reasons.append("kye")
+            elif refuted(kye_verdict):
+                not_positive_reasons.append("kye")
 
     avg_verdict = average_necessary(A, band)
     if refuted(avg_verdict):

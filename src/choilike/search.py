@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .criteria import InternalInconsistencyError
 from .linalg import (
     determinant,
     hermitian_eigenvalues,
@@ -417,34 +418,40 @@ def indecomposability_probe(
     cross terms when the maximal choice overshoots the positive cone),
     and the certificate stores the directly evaluated trace pairing.
     Returns None when no verified witness below -violation_tolerance is
-    found, which proves nothing.
+    found, which proves nothing.  A witness that fails its eigenvalue
+    verification raises InternalInconsistencyError.
     """
     n = A.n
     cost = A.a.T
     alphas = _probe_seeds(A, cfg.starts, cfg.seed)
     S = alphas.shape[0]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    I, J = np.triu_indices(n, 1)
+    diag = np.arange(n)
     eps = 1e-14
 
+    # Sums run through a sequential cumsum in pair order (diagonal gradient
+    # entries: increasing partner index), so every float is rounded as in a
+    # plain loop over the pairs; ndarray.sum is pairwise and would differ.
     def values(al):
         v = (al * cost).sum(axis=(1, 2))
-        for i, j in pairs:
-            m1 = np.sqrt(al[:, i, i] * al[:, j, j])
-            m2 = np.sqrt(al[:, i, j] * al[:, j, i])
-            v = v - 2.0 * np.minimum(m1, m2)
-        return v
+        m = np.minimum(np.sqrt(al[:, I, I] * al[:, J, J]), np.sqrt(al[:, I, J] * al[:, J, I]))
+        return np.concatenate([v[:, None], -2.0 * m], axis=1).cumsum(axis=1)[:, -1]
 
     def gradients(al):
-        g = np.broadcast_to(cost, al.shape).copy()
         safe = np.maximum(al, eps)
-        for i, j in pairs:
-            m1 = np.sqrt(safe[:, i, i] * safe[:, j, j])
-            m2 = np.sqrt(safe[:, i, j] * safe[:, j, i])
-            use_diag = m1 <= m2
-            g[use_diag, i, i] -= np.sqrt(safe[use_diag, j, j] / safe[use_diag, i, i])
-            g[use_diag, j, j] -= np.sqrt(safe[use_diag, i, i] / safe[use_diag, j, j])
-            g[~use_diag, i, j] -= np.sqrt(safe[~use_diag, j, i] / safe[~use_diag, i, j])
-            g[~use_diag, j, i] -= np.sqrt(safe[~use_diag, i, j] / safe[~use_diag, j, i])
+        d = safe[:, diag, diag]
+        use_diag = np.sqrt(d[:, I] * d[:, J]) <= np.sqrt(safe[:, I, J] * safe[:, J, I])
+        diag_branch = np.zeros(al.shape, dtype=bool)  # pair {i, j} on its sqrt(al_ii al_jj) branch
+        diag_branch[:, I, J] = use_diag
+        diag_branch[:, J, I] = use_diag
+        cross_branch = ~diag_branch
+        cross_branch[:, diag, diag] = False
+        # each off-diagonal entry takes the term of its own pair only
+        g = cost - np.where(cross_branch, np.sqrt(safe.transpose(0, 2, 1) / safe), 0.0)
+        # g[i, i] takes sqrt(alpha_jj / alpha_ii) from every pair {i, j} on the diagonal branch
+        terms = np.where(diag_branch, np.sqrt(d[:, None, :] / d[:, :, None]), 0.0)
+        start = np.broadcast_to(cost[diag, diag], d.shape)[:, :, None]
+        g[:, diag, diag] = np.concatenate([start, -terms], axis=2).cumsum(axis=2)[:, :, -1]
         return g
 
     F = values(alphas)
@@ -453,18 +460,21 @@ def indecomposability_probe(
     flat = alphas.reshape(S, n * n)
 
     for _ in range(cfg.max_iterations):
-        if not np.any(active):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
             break
-        grad = gradients(flat.reshape(S, n, n)).reshape(S, n * n)
-        proposal = _project_simplex_rows(flat - step[:, None] * grad)
-        newF = values(proposal.reshape(S, n, n))
-        improved = active & (newF < F)
-        flat = np.where(improved[:, None], proposal, flat)
-        gain = np.where(improved, F - newF, 0.0)
-        F = np.where(improved, newF, F)
-        step = np.where(improved, step * _GROW, np.where(active, step * _SHRINK, step))
-        active = active & ~(improved & (gain < cfg.step_tolerance))
-        active = active & (step > _STEP_FLOOR)
+        cur = flat[rows]
+        grad = gradients(cur.reshape(-1, n, n)).reshape(-1, n * n)
+        proposal = _project_simplex_rows(cur - step[rows, None] * grad)
+        newF = values(proposal.reshape(-1, n, n))
+        improved = newF < F[rows]
+        gain = F[rows] - newF
+        won = rows[improved]
+        flat[won] = proposal[improved]
+        F[won] = newF[improved]
+        step[rows] = np.where(improved, step[rows] * _GROW, step[rows] * _SHRINK)
+        active[rows[improved & (gain < cfg.step_tolerance)]] = False
+        active &= step > _STEP_FLOOR
 
     best = int(np.argmin(F))
     alpha = flat[best].reshape(n, n)
@@ -481,7 +491,7 @@ def indecomposability_probe(
     rho_ok, rho_min = is_psd(rho, tol=cfg.violation_tolerance)
     gamma_ok, gamma_min = is_psd(partial_transpose(rho, n), tol=cfg.violation_tolerance)
     if not (rho_ok and gamma_ok):
-        raise AssertionError(
+        raise InternalInconsistencyError(
             f"witness verification failed: min eigenvalues {rho_min!r}, {gamma_min!r}"
         )
     total = float(np.trace(rho).real)

@@ -105,6 +105,17 @@ class TestAnalyze:
         assert "ckl_positive" in out
 
 
+    def test_kye_edge_points_complete(self, tmp_path, capsys):
+        # a = 2, b = 0 sits on kye_check's excluded edge and on the
+        # decomposable boundary of the constant cyclic family
+        for c in np.arange(13) * 0.25:
+            a = [[2.0, 0.0, c], [c, 2.0, 0.0], [0.0, c, 2.0]]
+            path = write(tmp_path, {"n": 3, "A": a})
+            code, doc = run_json(capsys, "analyze", "-i", path)
+            assert code == 0
+            assert doc["summary"] == ["positive_proven", "decomposable_proven"]
+
+
 class TestSearchAndProbe:
     def test_search_finds_violation(self, tmp_path, capsys):
         path = write(tmp_path, HALF)
@@ -207,6 +218,31 @@ class TestErrors:
         monkeypatch.setattr(cli, "full_report", boom)
         path = write(tmp_path, CHOI)
         assert main(["analyze", "-i", path]) == 2
+
+
+    @pytest.mark.parametrize(
+        "x", [[1, 2, 3], [[1, 0, 0], [0, 1], [0, 0, 1]]], ids=["flat", "ragged"]
+    )
+    def test_malformed_x_rejected_without_traceback(self, tmp_path, capsys, x):
+        path = write(tmp_path, {"n": 3, "A": CHOI["A"], "X": x})
+        assert main(["analyze", "-i", path]) == 1
+        assert capsys.readouterr().err.startswith("error: X must be a square matrix")
+
+    def test_failed_witness_verification_exits_two(self, tmp_path, capsys, monkeypatch):
+        import choilike.search as search
+
+        real_is_psd = search.is_psd
+
+        def reject_full_states(m, tol):
+            # the n x n cross-term bisection passes; the n^2-side witness checks fail
+            return (False, -1.0) if m.shape[0] > 3 else real_is_psd(m, tol=tol)
+
+        monkeypatch.setattr(search, "is_psd", reject_full_states)
+        path = write(tmp_path, CHOI)
+        assert main(["analyze", "-i", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("internal inconsistency: witness verification failed")
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

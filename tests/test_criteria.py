@@ -328,6 +328,15 @@ class TestFullReport:
         r = full_report(kye_matrix(KyeParams(1.5, 1, 1, 1)))
         assert "positive_proven" in r.summary and "indecomposable_proven" in r.summary
 
+    def test_kye_edge_a2_b0_is_decomposable_not_a_conflict(self):
+        # a = 2, b = 0 is marginal for kye_check (a < 2 strictly) and the
+        # decomposable boundary of the constant cyclic family
+        for c in np.arange(13) * 0.25:
+            r = full_report(constant_ckl_matrix(CklParams(2.0, 0.0, float(c))))
+            assert r.kye.status == MARGINAL
+            assert {"positive_proven", "decomposable_proven"} <= set(r.summary)
+            assert "indecomposable_proven" not in r.summary
+
     def test_n2_iff_via_pairwise(self):
         r = full_report(validate_coefficients([[0.25, 0.25], [0.25, 0.25]]))
         assert r.summary == ("not_positive_proven",)

@@ -22,7 +22,14 @@ from choilike.maps import (
     validate_coefficients,
 )
 from choilike.search import (
+    _GROW,
+    _SHRINK,
+    _STEP_FLOOR,
+    PptWitnessCertificate,
     SearchConfig,
+    StructuredPptState,
+    _probe_seeds,
+    _project_simplex_rows,
     assemble_structured_state,
     block_positivity_value,
     find_positivity_violation,
@@ -40,6 +47,72 @@ COUNTEREXAMPLE = validate_coefficients([[0.5, 1, 0], [0, 1, 1], [1, 0, 2]])
 ALL_ONES = validate_coefficients(np.ones((3, 3)))
 ZETA5 = np.array([2 ** (1 / 3), 2 ** (-1 / 6), 2 ** (-1 / 6)])
 CFG = SearchConfig(seed=42)
+
+
+def pair_loop_probe(A, cfg):
+    """Reference for indecomposability_probe: every start, one Python step per index pair."""
+    n = A.n
+    cost = A.a.T
+    alphas = _probe_seeds(A, cfg.starts, cfg.seed)
+    S = alphas.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    eps = 1e-14
+
+    def values(al):
+        v = (al * cost).sum(axis=(1, 2))
+        for i, j in pairs:
+            m1 = np.sqrt(al[:, i, i] * al[:, j, j])
+            m2 = np.sqrt(al[:, i, j] * al[:, j, i])
+            v = v - 2.0 * np.minimum(m1, m2)
+        return v
+
+    def gradients(al):
+        g = np.broadcast_to(cost, al.shape).copy()
+        safe = np.maximum(al, eps)
+        for i, j in pairs:
+            m1 = np.sqrt(safe[:, i, i] * safe[:, j, j])
+            m2 = np.sqrt(safe[:, i, j] * safe[:, j, i])
+            use_diag = m1 <= m2
+            g[use_diag, i, i] -= np.sqrt(safe[use_diag, j, j] / safe[use_diag, i, i])
+            g[use_diag, j, j] -= np.sqrt(safe[use_diag, i, i] / safe[use_diag, j, j])
+            g[~use_diag, i, j] -= np.sqrt(safe[~use_diag, j, i] / safe[~use_diag, i, j])
+            g[~use_diag, j, i] -= np.sqrt(safe[~use_diag, i, j] / safe[~use_diag, j, i])
+        return g
+
+    F = values(alphas)
+    step = np.full(S, 0.1)
+    active = np.ones(S, dtype=bool)
+    flat = alphas.reshape(S, n * n)
+
+    for _ in range(cfg.max_iterations):
+        if not np.any(active):
+            break
+        grad = gradients(flat.reshape(S, n, n)).reshape(S, n * n)
+        proposal = _project_simplex_rows(flat - step[:, None] * grad)
+        newF = values(proposal.reshape(S, n, n))
+        improved = active & (newF < F)
+        flat = np.where(improved[:, None], proposal, flat)
+        gain = np.where(improved, F - newF, 0.0)
+        F = np.where(improved, newF, F)
+        step = np.where(improved, step * _GROW, np.where(active, step * _SHRINK, step))
+        active = active & ~(improved & (gain < cfg.step_tolerance))
+        active = active & (step > _STEP_FLOOR)
+
+    best = int(np.argmin(F))
+    alpha = flat[best].reshape(n, n)
+    if F[best] >= -cfg.violation_tolerance:
+        return None
+    r, _ = psd_feasible_cross_terms(alpha, maximal_cross_terms(alpha))
+    rho = assemble_structured_state(alpha, r)
+    trace_value = float(np.trace(rho @ choi_matrix(A)).real)
+    if trace_value >= -cfg.violation_tolerance:
+        return None
+    total = float(np.trace(rho).real)
+    return PptWitnessCertificate(
+        state=StructuredPptState(alpha=alpha, r=r),
+        trace_value=trace_value,
+        normalized_value=trace_value / total,
+    )
 
 
 class TestPositivityGap:
@@ -337,6 +410,49 @@ class TestIndecomposabilityProbe:
         assert c1.trace_value == c2.trace_value
         assert np.array_equal(c1.state.alpha, c2.state.alpha)
 
+
+
+def _generalized_choi(n):
+    a = np.eye(n) * (n - 2 + 0.375)
+    for i in range(n):
+        a[i, (i - 1) % n] = 1.0
+    return a
+
+
+def _pairwise_sufficient_draw(n, rng):
+    # every pair clears sqrt(a_ii a_jj)/(n-1) + sqrt(a_ij a_ji) >= 1 with slack
+    d = rng.uniform(0.5, 2.0, n)
+    a = np.diag(d)
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = max(0.0, 1.0 - np.sqrt(d[i] * d[j]) / (n - 1)) + rng.uniform(0.05, 0.5)
+            t = np.exp(rng.uniform(-0.7, 0.7))
+            a[i, j], a[j, i] = s * t, s / t
+    return a
+
+
+def _probe_corpus():
+    rng = np.random.default_rng(5)
+    cases = [("choi", CHOI.a)]
+    cases += [(f"gchoi-{n}", _generalized_choi(n)) for n in range(4, 9)]
+    cases += [(f"sufficient-{n}", _pairwise_sufficient_draw(n, rng)) for n in range(5, 9)]
+    cases += [(f"random-{n}", rng.random((n, n)) * 1.5) for n in range(2, 9)]
+    return cases
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+@pytest.mark.parametrize("name,raw", _probe_corpus(), ids=[c[0] for c in _probe_corpus()])
+def test_probe_matches_pair_loop_bit_for_bit(name, raw, seed):
+    a = validate_coefficients(raw)
+    cfg = SearchConfig(seed=seed)
+    expected = pair_loop_probe(a, cfg)
+    got = indecomposability_probe(a, cfg)
+    assert (got is None) == (expected is None)
+    if expected is not None:
+        assert got.state.alpha.tobytes() == expected.state.alpha.tobytes()
+        assert got.state.r.tobytes() == expected.state.r.tobytes()
+        assert got.trace_value == expected.trace_value
+        assert got.normalized_value == expected.normalized_value
 
 class TestOneSidedSoundness:
     def test_no_false_certificates_on_sufficient_family(self):
