@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Input files are UTF-8 JSON objects {"n": int, "A": [[...], ...]} with an
-optional Hermitian "X" whose entries are either plain reals or [re, im]
-pairs.  Reports are emitted as JSON with fixed field names or as a
-plain-text table; identical invocations (same file, flags and seed)
-produce byte-identical output.
+Input files are UTF-8 JSON objects {"n": int, "A": [[...], ...]}, with
+2 <= n <= 16 and an optional Hermitian "X" whose entries are either plain
+reals or [re, im] pairs.  Reports are emitted as JSON with fixed field
+names or as a plain-text table; identical invocations (same file, flags
+and seed) produce byte-identical output.
 
 Exit codes: 0 analysis completed (whatever the verdict), 1 unreadable or
 invalid input, 2 internal inconsistency (two criteria contradicted each
@@ -43,6 +43,9 @@ from .search import (
     indecomposability_probe,
     verify_counterexample,
 )
+
+# linalg is sized for block matrices of side n^2 with n <= 16
+MAX_SIDE = 16
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,10 @@ def read_matrix_file(path: str) -> tuple[CoefficientMatrix, np.ndarray | None]:
     if not isinstance(data, dict) or "A" not in data:
         raise ValueError("input must be a JSON object with an 'A' field")
     a = validate_coefficients(data["A"])
-    if "n" in data and int(data["n"]) != a.n:
-        raise ValueError(f"declared n = {data['n']} does not match matrix side {a.n}")
+    if "n" in data and data["n"] != a.n:
+        raise ValueError(f"declared n = {data['n']!r} does not match matrix side {a.n}")
+    if a.n > MAX_SIDE:
+        raise ValueError(f"matrix side {a.n} exceeds the supported maximum {MAX_SIDE}")
     x = None
     if "X" in data:
         rows = data["X"]

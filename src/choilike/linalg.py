@@ -64,7 +64,11 @@ def _jacobi_rotation(app: float, aqq: float, apq: complex):
     phase = apq / mag
     tau = (aqq - app) / (2.0 * mag)
     # stable root of t^2 - 2*tau*t - 1 = 0 (the zeroing condition)
-    if tau >= 0.0:
+    if abs(tau) > 1e150:
+        # tau * tau would overflow; here sqrt(1 + tau^2) rounds to |tau|, so
+        # both branches below give this value to the last bit
+        t = -0.5 / tau
+    elif tau >= 0.0:
         t = -1.0 / (tau + np.sqrt(1.0 + tau * tau))
     else:
         t = 1.0 / (-tau + np.sqrt(1.0 + tau * tau))

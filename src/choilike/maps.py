@@ -120,7 +120,10 @@ def validate_coefficients(raw) -> CoefficientMatrix:
     Entries in (-1e-12, 0) are treated as round-off and clamped to zero;
     anything more negative is rejected.
     """
-    a = np.asarray(raw, dtype=float)
+    try:
+        a = np.asarray(raw, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"coefficient matrix entries must be numbers: {exc}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got shape {a.shape}")
     n = a.shape[0]

@@ -408,6 +408,46 @@ def _probe_seeds(A: CoefficientMatrix, starts: int, seed: int) -> np.ndarray:
     return np.array(seeds)
 
 
+_PROBE_EPS = 1e-14  # floor on alpha in the gradient's square-root ratios
+
+
+# Sums run through a sequential cumsum in pair order (diagonal gradient
+# entries: increasing partner index), so every float is rounded as in a
+# plain loop over the pairs; ndarray.sum is pairwise and would differ.
+def _structured_values(al: np.ndarray, cost: np.ndarray, I: np.ndarray, J: np.ndarray):
+    """structured_ppt_value of each profile in the stack ``al``."""
+    v = (al * cost).sum(axis=(1, 2))
+    m = np.minimum(np.sqrt(al[:, I, I] * al[:, J, J]), np.sqrt(al[:, I, J] * al[:, J, I]))
+    return np.concatenate([v[:, None], -2.0 * m], axis=1).cumsum(axis=1)[:, -1]
+
+
+def _structured_gradients(al: np.ndarray, cost: np.ndarray, I: np.ndarray, J: np.ndarray):
+    """Gradient of structured_ppt_value at each profile, entries clamped to _PROBE_EPS.
+
+    Each pair {i, j} differentiates the branch of its min that is
+    smaller at the clamped profile.  The entries are also the
+    coefficients of a linear minorant of the value (see
+    indecomposability_probe), so min over k of g_k bounds the minimum
+    over the simplex from below.
+    """
+    diag = np.arange(al.shape[1])
+    safe = np.maximum(al, _PROBE_EPS)
+    d = safe[:, diag, diag]
+    use_diag = np.sqrt(d[:, I] * d[:, J]) <= np.sqrt(safe[:, I, J] * safe[:, J, I])
+    diag_branch = np.zeros(al.shape, dtype=bool)  # pair {i, j} on its sqrt(al_ii al_jj) branch
+    diag_branch[:, I, J] = use_diag
+    diag_branch[:, J, I] = use_diag
+    cross_branch = ~diag_branch
+    cross_branch[:, diag, diag] = False
+    # each off-diagonal entry takes the term of its own pair only
+    g = cost - np.where(cross_branch, np.sqrt(safe.transpose(0, 2, 1) / safe), 0.0)
+    # g[i, i] takes sqrt(alpha_jj / alpha_ii) from every pair {i, j} on the diagonal branch
+    terms = np.where(diag_branch, np.sqrt(d[:, None, :] / d[:, :, None]), 0.0)
+    start = np.broadcast_to(cost[diag, diag], d.shape)[:, :, None]
+    g[:, diag, diag] = np.concatenate([start, -terms], axis=2).cumsum(axis=2)[:, :, -1]
+    return g
+
+
 def indecomposability_probe(
     A: CoefficientMatrix, cfg: SearchConfig = SearchConfig()
 ) -> PptWitnessCertificate | None:
@@ -420,41 +460,29 @@ def indecomposability_probe(
     Returns None when no verified witness below -violation_tolerance is
     found, which proves nothing.  A witness that fails its eigenvalue
     verification raises InternalInconsistencyError.
+
+    Early exit.  The objective F(alpha) = sum c_ik alpha_ik
+    - 2 sum_{i<j} min(sqrt(alpha_ii alpha_jj), sqrt(alpha_ij alpha_ji))
+    is convex (a geometric mean is concave, and so is a minimum of
+    concave terms).  AM-GM gives sqrt(xy) <= (s x + y / s) / 2 for every
+    s > 0, so at any profile beta the gradient g(beta) -- whichever branch
+    each pair is on, with the clamped entries -- is the coefficient
+    vector of a linear minorant of F, and min_k g_k(beta) <= F(alpha)
+    for every alpha on the simplex.  Once that bound exceeds
+    -violation_tolerance by more than the rounding of F and g, no start
+    can end below the tolerance, and the probe returns None at once: the
+    full run would have returned None too, so the result is unchanged.
     """
     n = A.n
     cost = A.a.T
     alphas = _probe_seeds(A, cfg.starts, cfg.seed)
     S = alphas.shape[0]
     I, J = np.triu_indices(n, 1)
-    diag = np.arange(n)
-    eps = 1e-14
+    # F and g are sums of fewer than n^2 terms with partial sums below max a + n,
+    # so either one rounds off by far less than this margin
+    no_witness = -cfg.violation_tolerance + 1e-14 * n * n * (n + float(A.a.max()))
 
-    # Sums run through a sequential cumsum in pair order (diagonal gradient
-    # entries: increasing partner index), so every float is rounded as in a
-    # plain loop over the pairs; ndarray.sum is pairwise and would differ.
-    def values(al):
-        v = (al * cost).sum(axis=(1, 2))
-        m = np.minimum(np.sqrt(al[:, I, I] * al[:, J, J]), np.sqrt(al[:, I, J] * al[:, J, I]))
-        return np.concatenate([v[:, None], -2.0 * m], axis=1).cumsum(axis=1)[:, -1]
-
-    def gradients(al):
-        safe = np.maximum(al, eps)
-        d = safe[:, diag, diag]
-        use_diag = np.sqrt(d[:, I] * d[:, J]) <= np.sqrt(safe[:, I, J] * safe[:, J, I])
-        diag_branch = np.zeros(al.shape, dtype=bool)  # pair {i, j} on its sqrt(al_ii al_jj) branch
-        diag_branch[:, I, J] = use_diag
-        diag_branch[:, J, I] = use_diag
-        cross_branch = ~diag_branch
-        cross_branch[:, diag, diag] = False
-        # each off-diagonal entry takes the term of its own pair only
-        g = cost - np.where(cross_branch, np.sqrt(safe.transpose(0, 2, 1) / safe), 0.0)
-        # g[i, i] takes sqrt(alpha_jj / alpha_ii) from every pair {i, j} on the diagonal branch
-        terms = np.where(diag_branch, np.sqrt(d[:, None, :] / d[:, :, None]), 0.0)
-        start = np.broadcast_to(cost[diag, diag], d.shape)[:, :, None]
-        g[:, diag, diag] = np.concatenate([start, -terms], axis=2).cumsum(axis=2)[:, :, -1]
-        return g
-
-    F = values(alphas)
+    F = _structured_values(alphas, cost, I, J)
     step = np.full(S, 0.1)
     active = np.ones(S, dtype=bool)
     flat = alphas.reshape(S, n * n)
@@ -464,9 +492,11 @@ def indecomposability_probe(
         if rows.size == 0:
             break
         cur = flat[rows]
-        grad = gradients(cur.reshape(-1, n, n)).reshape(-1, n * n)
+        grad = _structured_gradients(cur.reshape(-1, n, n), cost, I, J).reshape(-1, n * n)
+        if grad.min(axis=1).max() > no_witness:
+            return None
         proposal = _project_simplex_rows(cur - step[rows, None] * grad)
-        newF = values(proposal.reshape(-1, n, n))
+        newF = _structured_values(proposal.reshape(-1, n, n), cost, I, J)
         improved = newF < F[rows]
         gain = F[rows] - newF
         won = rows[improved]

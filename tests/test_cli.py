@@ -228,6 +228,27 @@ class TestErrors:
         assert main(["analyze", "-i", path]) == 1
         assert capsys.readouterr().err.startswith("error: X must be a square matrix")
 
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"A": {"a": 1}}, "error: coefficient matrix entries must be numbers"),
+            ({"n": [2], "A": [[1, 0], [0, 1]]}, "error: declared n = [2] does not match"),
+            ({"n": 2.5, "A": [[1, 0], [0, 1]]}, "error: declared n = 2.5 does not match"),
+        ],
+        ids=["A-object", "n-list", "n-fraction"],
+    )
+    def test_malformed_a_or_n_rejected_without_traceback(self, tmp_path, capsys, payload, message):
+        path = write(tmp_path, payload)
+        assert main(["analyze", "-i", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err
+
+    def test_side_above_sixteen_rejected(self, tmp_path, capsys):
+        path = write(tmp_path, {"n": 17, "A": np.ones((17, 17)).tolist()})
+        assert main(["analyze", "-i", path]) == 1
+        assert capsys.readouterr().err.startswith("error: matrix side 17 exceeds")
+
     def test_failed_witness_verification_exits_two(self, tmp_path, capsys, monkeypatch):
         import choilike.search as search
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from choilike.linalg import (
+    _jacobi_rotation,
     determinant,
     hermitian_eigenvalues,
     is_psd,
@@ -17,6 +18,17 @@ from choilike.linalg import (
 def random_hermitian(rng, dim):
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (m + m.conj().T) / 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_jacobi_rotation_tiny_pivot_does_not_overflow(sign):
+    # tau = sign * 5e199, so tau * tau overflows; the root is t = -1 / (2 tau)
+    c, s, phase = _jacobi_rotation(np.float64(0.0), np.float64(sign), np.complex128(1e-200))
+    assert c == 1.0 and phase == 1.0
+    assert s == pytest.approx(-sign * 1e-200, rel=1e-15)
+    values = hermitian_eigenvalues([[0.0, 1e-200], [1e-200, sign]]).values
+    assert np.array_equal(values, np.sort([0.0, sign]))
 
 
 def test_identity_eigenvalues():

@@ -30,6 +30,7 @@ from choilike.search import (
     StructuredPptState,
     _probe_seeds,
     _project_simplex_rows,
+    _structured_gradients,
     assemble_structured_state,
     block_positivity_value,
     find_positivity_violation,
@@ -431,12 +432,26 @@ def _pairwise_sufficient_draw(n, rng):
     return a
 
 
+# Positive constant cyclic points on which the gradient bound ends the probe:
+# the first fifteen at its first step, the last three a few steps in.
+BOUND_EXITS = (
+    (3.0, 0.0, 1.75), (1.75, 2.25, 0.75), (1.0, 1.75, 2.5), (1.75, 2.5, 0.75),
+    (0.0, 1.5, 2.75), (1.75, 0.5, 3.0), (1.5, 2.0, 1.25), (2.25, 0.25, 2.75),
+    (0.25, 1.25, 1.25), (0.5, 1.75, 1.75), (2.0, 3.0, 0.0), (1.25, 1.25, 1.75),
+    (0.75, 1.25, 1.25), (3.0, 2.75, 0.75), (2.25, 0.75, 1.25),
+    (1.0, 2.25, 0.5), (1.0, 2.75, 0.5), (1.25, 0.5, 2.75),
+)
+
+
 def _probe_corpus():
     rng = np.random.default_rng(5)
     cases = [("choi", CHOI.a)]
     cases += [(f"gchoi-{n}", _generalized_choi(n)) for n in range(4, 9)]
     cases += [(f"sufficient-{n}", _pairwise_sufficient_draw(n, rng)) for n in range(5, 9)]
     cases += [(f"random-{n}", rng.random((n, n)) * 1.5) for n in range(2, 9)]
+    cases += [
+        ("ckl-{}-{}-{}".format(*p), constant_ckl_matrix(CklParams(*p)).a) for p in BOUND_EXITS
+    ]
     return cases
 
 
@@ -453,6 +468,69 @@ def test_probe_matches_pair_loop_bit_for_bit(name, raw, seed):
         assert got.state.r.tobytes() == expected.state.r.tobytes()
         assert got.trace_value == expected.trace_value
         assert got.normalized_value == expected.normalized_value
+
+
+KYE_BOUNDARY = (0.5, 1.0, 1.25, 1.5)  # a on the zero-b boundary c = 2 - a
+
+
+def _gradient(A, beta):
+    I, J = np.triu_indices(A.n, 1)
+    return _structured_gradients(np.asarray(beta)[None], A.a.T, I, J)[0]
+
+
+def _simplex_point(rng, n):
+    x = rng.random((n, n)) * (rng.random((n, n)) > 0.3)  # about 30 % zero entries
+    x[rng.integers(n), rng.integers(n)] += 0.1
+    return x / x.sum()
+
+
+class TestGradientBound:
+    def test_gradient_is_a_linear_minorant(self):
+        # F(alpha) >= g(beta) . alpha >= min_k g_k(beta): the probe's lower bound
+        rng = np.random.default_rng(2013)
+        for _ in range(3000):
+            n = int(rng.integers(2, 9))
+            raw = rng.random((n, n)) * rng.choice([0.5, 1.5, 4.0]) * (rng.random((n, n)) > 0.2)
+            a = validate_coefficients(raw)
+            alpha, beta = _simplex_point(rng, n), _simplex_point(rng, n)
+            g = _gradient(a, beta)
+            value = structured_ppt_value(a, alpha)
+            assert float(np.sum(g * alpha)) <= value
+            assert g.min() <= value
+
+    def test_minorant_touches_at_its_own_point(self):
+        # F is homogeneous of degree one, so g(beta) . beta = F(beta) away from the clamp
+        rng = np.random.default_rng(2014)
+        for _ in range(500):
+            n = int(rng.integers(2, 9))
+            a = validate_coefficients(rng.random((n, n)) * 2)
+            beta = rng.random((n, n)) + 0.01
+            beta /= beta.sum()
+            value = structured_ppt_value(a, beta)
+            assert float(np.sum(_gradient(a, beta) * beta)) == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [CHOI.a]
+        + [_generalized_choi(n) for n in range(4, 9)]
+        + [kye_matrix(KyeParams(a, 2.0 - a, 2.0 - a, 2.0 - a)).a for a in KYE_BOUNDARY],
+        ids=["choi"] + [f"gchoi-{n}" for n in range(4, 9)] + [f"kye-{a}" for a in KYE_BOUNDARY],
+    )
+    def test_never_fires_when_a_witness_exists(self, raw, monkeypatch):
+        import choilike.search as search
+
+        bounds = []
+
+        def recording(al, cost, I, J):
+            g = _structured_gradients(al, cost, I, J)
+            bounds.append(float(g.reshape(g.shape[0], -1).min(axis=1).max()))
+            return g
+
+        monkeypatch.setattr(search, "_structured_gradients", recording)
+        a = validate_coefficients(raw)
+        assert indecomposability_probe(a, CFG) is not None
+        assert bounds and max(bounds) <= -CFG.violation_tolerance
+
 
 class TestOneSidedSoundness:
     def test_no_false_certificates_on_sufficient_family(self):
