@@ -14,6 +14,7 @@ other, which indicates a bug).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from dataclasses import dataclass
@@ -84,17 +85,26 @@ def _reject_non_finite(token: str):
 
 
 def _entry_to_complex(entry) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, list) and len(entry) == 2:
-        return complex(float(entry[0]), float(entry[1]))
-    raise ValueError(f"matrix entry must be a real or an [re, im] pair, got {entry!r}")
+    parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0]
+    # bool is an int subclass, and float() of a huge JSON integer overflows
+    if all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+        try:
+            value = complex(float(parts[0]), float(parts[1]))
+        except OverflowError:
+            pass
+        else:
+            if cmath.isfinite(value):
+                return value
+    raise ValueError(f"matrix entry must be a finite real or an [re, im] pair, got {entry!r}")
 
 
 def read_matrix_file(path: str) -> tuple[CoefficientMatrix, np.ndarray | None]:
     """Parse and validate an input file; returns (A, optional Hermitian X)."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh, parse_constant=_reject_non_finite)
+        try:
+            data = json.load(fh, parse_constant=_reject_non_finite)
+        except RecursionError:
+            raise ValueError("input nests too deeply") from None
     if not isinstance(data, dict) or "A" not in data:
         raise ValueError("input must be a JSON object with an 'A' field")
     a = validate_coefficients(data["A"])

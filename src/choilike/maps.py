@@ -118,14 +118,18 @@ def validate_coefficients(raw) -> CoefficientMatrix:
     """Validate a square nonnegative array into a CoefficientMatrix.
 
     Entries in (-1e-12, 0) are treated as round-off and clamped to zero;
-    anything more negative is rejected.
+    anything more negative is rejected.  Strings, booleans and other
+    non-numbers are rejected rather than converted.
     """
-    try:
-        a = np.asarray(raw, dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"coefficient matrix entries must be numbers: {exc}") from None
+    a = np.asarray(raw)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"coefficient matrix entries must be numbers, got {a.dtype} entries")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got shape {a.shape}")
+    # a bool among numbers takes the numbers' dtype, so look at the entries themselves
+    if any(isinstance(v, bool) for row in raw for v in row):
+        raise ValueError("coefficient matrix entries must be numbers, got a boolean")
+    a = a.astype(float)
     n = a.shape[0]
     if n < 2:
         raise ValueError("coefficient matrix needs n >= 2")

@@ -411,6 +411,29 @@ def _probe_seeds(A: CoefficientMatrix, starts: int, seed: int) -> np.ndarray:
 _PROBE_EPS = 1e-14  # floor on alpha in the gradient's square-root ratios
 
 
+def _structured_floor(A: CoefficientMatrix) -> float:
+    """Smallest eigenvalue of T, the n x n Z-matrix that decides the structured family.
+
+    T_ii = a_ii and T_ij = -mu_ij with mu_ij = max(0, 1 - sqrt(a_ij a_ji)).
+    With x_i = sqrt(alpha_ii), AM-GM gives a_ji alpha_ij + a_ij alpha_ji
+    >= 2 sqrt(a_ij a_ji) sqrt(alpha_ij alpha_ji), so each pair adds at
+    least -2 mu_ij x_i x_j to structured_ppt_value, and
+    structured_ppt_value(A, alpha) >= x^T T x >= lambda_min(T) sum_i alpha_ii.
+    On the simplex the value is therefore at least min(0, lambda_min(T)).
+    Conversely, T has no positive off-diagonal entry, so a lambda_min
+    eigenvector x can be taken nonnegative, and the profile with
+    alpha_ii = x_i^2 and, on each pair with mu_ij > 0, alpha_ij alpha_ji
+    = x_i^2 x_j^2 in the ratio alpha_ij : alpha_ji = a_ij : a_ji (other
+    entries zero) turns both bounds into equalities, so its value is
+    lambda_min(T) |x|^2 (a zero a_ij or a_ji is approached as a limit).
+    So a structured witness exists iff lambda_min(T) < 0.
+    """
+    mu = np.maximum(0.0, 1.0 - np.sqrt(A.a * A.a.T))
+    t = -mu
+    np.fill_diagonal(t, np.diag(A.a))
+    return float(np.linalg.eigvalsh(t)[0])
+
+
 # Sums run through a sequential cumsum in pair order (diagonal gradient
 # entries: increasing partner index), so every float is rounded as in a
 # plain loop over the pairs; ndarray.sum is pairwise and would differ.
@@ -425,10 +448,11 @@ def _structured_gradients(al: np.ndarray, cost: np.ndarray, I: np.ndarray, J: np
     """Gradient of structured_ppt_value at each profile, entries clamped to _PROBE_EPS.
 
     Each pair {i, j} differentiates the branch of its min that is
-    smaller at the clamped profile.  The entries are also the
-    coefficients of a linear minorant of the value (see
-    indecomposability_probe), so min over k of g_k bounds the minimum
-    over the simplex from below.
+    smaller at the clamped profile.  The value is convex, and AM-GM
+    (sqrt(xy) <= (s x + y / s) / 2 for every s > 0) makes the entries
+    the coefficients of a linear minorant of it, whichever branch each
+    pair is on, so min over k of g_k bounds the minimum over the
+    simplex from below.
     """
     diag = np.arange(al.shape[1])
     safe = np.maximum(al, _PROBE_EPS)
@@ -461,26 +485,30 @@ def indecomposability_probe(
     found, which proves nothing.  A witness that fails its eigenvalue
     verification raises InternalInconsistencyError.
 
-    Early exit.  The objective F(alpha) = sum c_ik alpha_ik
-    - 2 sum_{i<j} min(sqrt(alpha_ii alpha_jj), sqrt(alpha_ij alpha_ji))
-    is convex (a geometric mean is concave, and so is a minimum of
-    concave terms).  AM-GM gives sqrt(xy) <= (s x + y / s) / 2 for every
-    s > 0, so at any profile beta the gradient g(beta) -- whichever branch
-    each pair is on, with the clamped entries -- is the coefficient
-    vector of a linear minorant of F, and min_k g_k(beta) <= F(alpha)
-    for every alpha on the simplex.  Once that bound exceeds
-    -violation_tolerance by more than the rounding of F and g, no start
-    can end below the tolerance, and the probe returns None at once: the
-    full run would have returned None too, so the result is unchanged.
+    Early exit.  The probe first returns None when the smallest
+    eigenvalue of the n x n matrix T of _structured_floor exceeds
+    -violation_tolerance by more than the rounding of the objective and
+    of that eigenvalue.  The objective, structured_ppt_value, is at least
+    min(0, lambda_min(T)) on the simplex, so the full run would have
+    returned None too and the result is unchanged; when the full run
+    finds a witness, the objective is below -violation_tolerance there,
+    so lambda_min(T) is too and the exit cannot fire.  On the
+    constant cyclic maps (a, b, c), lambda_min(T) = a - 2 max(0,
+    1 - sqrt(bc)), whose sign changes exactly on the Cho-Kye-Lee
+    decomposability boundary 4bc = (2 - a)^2, a < 2.
     """
     n = A.n
+    # the objective sums fewer than n^2 terms with partial sums below max a + n, so it
+    # rounds off by less than 1e-14 n^2 (n + max a); eigvalsh and the rounding of T
+    # add less than 1e-14 n (n + max a)
+    margin = 1e-14 * n * (n + 1) * (n + float(A.a.max()))
+    if _structured_floor(A) > -cfg.violation_tolerance + margin:
+        return None
+
     cost = A.a.T
     alphas = _probe_seeds(A, cfg.starts, cfg.seed)
     S = alphas.shape[0]
     I, J = np.triu_indices(n, 1)
-    # F and g are sums of fewer than n^2 terms with partial sums below max a + n,
-    # so either one rounds off by far less than this margin
-    no_witness = -cfg.violation_tolerance + 1e-14 * n * n * (n + float(A.a.max()))
 
     F = _structured_values(alphas, cost, I, J)
     step = np.full(S, 0.1)
@@ -493,8 +521,6 @@ def indecomposability_probe(
             break
         cur = flat[rows]
         grad = _structured_gradients(cur.reshape(-1, n, n), cost, I, J).reshape(-1, n * n)
-        if grad.min(axis=1).max() > no_witness:
-            return None
         proposal = _project_simplex_rows(cur - step[rows, None] * grad)
         newF = _structured_values(proposal.reshape(-1, n, n), cost, I, J)
         improved = newF < F[rows]

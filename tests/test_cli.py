@@ -4,11 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from choilike.cli import main
+from choilike.cli import main, read_matrix_file
 from choilike.maps import validate_coefficients
 from choilike.search import positivity_gap
 
@@ -234,8 +237,11 @@ class TestErrors:
             ({"A": {"a": 1}}, "error: coefficient matrix entries must be numbers"),
             ({"n": [2], "A": [[1, 0], [0, 1]]}, "error: declared n = [2] does not match"),
             ({"n": 2.5, "A": [[1, 0], [0, 1]]}, "error: declared n = 2.5 does not match"),
+            ({"A": [["1", "0.5"], ["2", "1e0"]]}, "error: coefficient matrix entries must be numbers"),
+            ({"A": [[True, False], [False, True]]}, "error: coefficient matrix entries must be numbers"),
+            ({"A": [[1, True], [0, 1]]}, "error: coefficient matrix entries must be numbers"),
         ],
-        ids=["A-object", "n-list", "n-fraction"],
+        ids=["A-object", "n-list", "n-fraction", "A-strings", "A-booleans", "A-boolean-among-numbers"],
     )
     def test_malformed_a_or_n_rejected_without_traceback(self, tmp_path, capsys, payload, message):
         path = write(tmp_path, payload)
@@ -243,6 +249,25 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "entry",
+        ['"1"', "true", '["1", "0"]', "[{}, 0]", "1" + "0" * 400, "1e999"],
+        ids=["string", "boolean", "string-pair", "object-in-pair", "huge-integer", "overflowing-float"],
+    )
+    def test_malformed_x_entry_rejected_without_traceback(self, tmp_path, capsys, entry):
+        path = tmp_path / "x.json"
+        path.write_text(f'{{"A": [[1, 0], [0, 1]], "X": [[{entry}, 0], [0, 1]]}}', encoding="utf-8")
+        assert main(["analyze", "-i", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrix entry must be a finite real or an [re, im] pair")
+        assert "Traceback" not in err
+
+    def test_deeply_nested_json_rejected(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["analyze", "-i", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: input nests too deeply")
 
     def test_side_above_sixteen_rejected(self, tmp_path, capsys):
         path = write(tmp_path, {"n": 17, "A": np.ones((17, 17)).tolist()})
@@ -264,6 +289,63 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("internal inconsistency: witness verification failed")
         assert "Traceback" not in err
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from([10**400, -(10**400), 1e308, "1", "1e0", [], {}])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+NUMBERS = st.floats(0.0, 3.0) | st.integers(0, 3)
+ENTRIES = NUMBERS | NUMBERS | st.lists(NUMBERS, min_size=2, max_size=2) | JSON_SCALARS
+MATRICES = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+# objects one or two fields away from a valid input
+NEAR_VALID = st.fixed_dictionaries(
+    {"A": MATRICES | JSON_VALUES},
+    optional={"n": st.integers(0, 5) | JSON_VALUES, "X": MATRICES | JSON_VALUES},
+)
+
+
+def _read_or_value_error(data: bytes):
+    """read_matrix_file must return or raise ValueError, which main maps to exit 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            read_matrix_file(path)
+        except ValueError:
+            pass
+
+
+FUZZ = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+
+class TestInputFuzz:
+    @FUZZ
+    @given(JSON_VALUES)
+    def test_any_json_value(self, value):
+        _read_or_value_error(json.dumps(value).encode())
+
+    @FUZZ
+    @given(NEAR_VALID)
+    def test_near_valid_objects(self, payload):
+        _read_or_value_error(json.dumps(payload).encode())
+
+    @FUZZ
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes(self, data):
+        _read_or_value_error(data)
 
 
 class TestDeterminism:

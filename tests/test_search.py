@@ -30,6 +30,7 @@ from choilike.search import (
     StructuredPptState,
     _probe_seeds,
     _project_simplex_rows,
+    _structured_floor,
     _structured_gradients,
     assemble_structured_state,
     block_positivity_value,
@@ -432,15 +433,22 @@ def _pairwise_sufficient_draw(n, rng):
     return a
 
 
-# Positive constant cyclic points on which the gradient bound ends the probe:
-# the first fifteen at its first step, the last three a few steps in.
-BOUND_EXITS = (
+# Positive constant cyclic points without a structured witness, on which the
+# probe returns None at entry.  The gradient minorant rules out a witness at
+# the first step on the first fifteen and a few steps in on the next three;
+# on the last four it never does, because the optimum lies on the boundary
+# of the simplex, where the gradient blows up.
+NO_WITNESS_CKL = (
     (3.0, 0.0, 1.75), (1.75, 2.25, 0.75), (1.0, 1.75, 2.5), (1.75, 2.5, 0.75),
     (0.0, 1.5, 2.75), (1.75, 0.5, 3.0), (1.5, 2.0, 1.25), (2.25, 0.25, 2.75),
     (0.25, 1.25, 1.25), (0.5, 1.75, 1.75), (2.0, 3.0, 0.0), (1.25, 1.25, 1.75),
     (0.75, 1.25, 1.25), (3.0, 2.75, 0.75), (2.25, 0.75, 1.25),
     (1.0, 2.25, 0.5), (1.0, 2.75, 0.5), (1.25, 0.5, 2.75),
+    (1.0, 0.75, 1.0), (0.5, 0.25, 2.75), (0.5, 0.5, 1.75), (0.5, 0.75, 0.75),
 )
+# Constant cyclic points just past the boundary 4bc = (2 - a)^2, where
+# lambda_min(T) is -0.018, -0.025 and -0.043 and the probe finds a witness.
+NEAR_BOUNDARY_CKL = ((0.25, 1.0, 0.75), (0.75, 0.75, 0.5), (1.25, 0.5, 0.25))
 
 
 def _probe_corpus():
@@ -450,7 +458,8 @@ def _probe_corpus():
     cases += [(f"sufficient-{n}", _pairwise_sufficient_draw(n, rng)) for n in range(5, 9)]
     cases += [(f"random-{n}", rng.random((n, n)) * 1.5) for n in range(2, 9)]
     cases += [
-        ("ckl-{}-{}-{}".format(*p), constant_ckl_matrix(CklParams(*p)).a) for p in BOUND_EXITS
+        ("ckl-{}-{}-{}".format(*p), constant_ckl_matrix(CklParams(*p)).a)
+        for p in NO_WITNESS_CKL + NEAR_BOUNDARY_CKL
     ]
     return cases
 
@@ -530,6 +539,73 @@ class TestGradientBound:
         a = validate_coefficients(raw)
         assert indecomposability_probe(a, CFG) is not None
         assert bounds and max(bounds) <= -CFG.violation_tolerance
+
+
+WITNESS_MAPS = (
+    [("choi", CHOI.a)]
+    + [(f"gchoi-{n}", _generalized_choi(n)) for n in range(4, 9)]
+    + [(f"kye-{a}", kye_matrix(KyeParams(a, 2.0 - a, 2.0 - a, 2.0 - a)).a) for a in KYE_BOUNDARY]
+    + [("ckl-{}-{}-{}".format(*p), constant_ckl_matrix(CklParams(*p)).a) for p in NEAR_BOUNDARY_CKL]
+)
+
+
+class TestStructuredFloor:
+    """lambda_min(T) decides whether the structured family holds a witness."""
+
+    def test_floor_is_a_minorant(self):
+        # F(alpha) >= lambda_min(T) sum_i alpha_ii; the slack covers rounding only
+        rng = np.random.default_rng(2015)
+        for _ in range(3000):
+            n = int(rng.integers(2, 9))
+            raw = rng.random((n, n)) * rng.choice([0.5, 1.5, 4.0]) * (rng.random((n, n)) > 0.2)
+            a = validate_coefficients(raw)
+            alpha = _simplex_point(rng, n)
+            floor = _structured_floor(a) * float(np.trace(alpha))
+            assert structured_ppt_value(a, alpha) >= floor - 1e-12
+
+    def test_eigenvector_profile_attains_the_floor(self):
+        # the converse: with every a_ij > 0 the profile built from a nonnegative
+        # lambda_min eigenvector of T has value lambda_min(T) |x|^2
+        rng = np.random.default_rng(2016)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            raw = rng.random((n, n)) * rng.choice([0.5, 1.5]) + 0.01
+            a = validate_coefficients(raw)
+            mu = np.maximum(0.0, 1.0 - np.sqrt(raw * raw.T))
+            t = -mu
+            np.fill_diagonal(t, np.diag(raw))
+            lam, vecs = np.linalg.eigh(t)
+            x = np.abs(vecs[:, 0])
+            alpha = np.diag(x**2)
+            for i, j in zip(*np.nonzero(np.triu(mu, 1))):
+                # alpha_ij alpha_ji = x_i^2 x_j^2 with alpha_ij : alpha_ji = a_ij : a_ji
+                ratio = np.sqrt(raw[i, j] / raw[j, i])
+                alpha[i, j], alpha[j, i] = x[i] * x[j] * ratio, x[i] * x[j] / ratio
+            assert lam[0] == pytest.approx(_structured_floor(a), abs=1e-12)
+            assert structured_ppt_value(a, alpha) == pytest.approx(lam[0], abs=1e-12)
+
+    def test_ckl_grid_matches_the_decomposability_boundary(self):
+        values = np.arange(0.0, 3.0001, 0.25)
+        tested = 0
+        for a_val in values:
+            for b in values:
+                for c in values:
+                    if abs(4 * b * c - (2 - a_val) ** 2) < 1e-9:
+                        continue
+                    tested += 1
+                    floor = _structured_floor(constant_ckl_matrix(CklParams(a_val, b, c)))
+                    assert floor == pytest.approx(
+                        a_val - 2 * max(0.0, 1 - np.sqrt(b * c)), abs=1e-12
+                    )
+                    decomposable = a_val >= 2 or 4 * b * c >= (2 - a_val) ** 2
+                    assert (floor >= 0) == decomposable, (a_val, b, c, floor)
+        assert tested == 2158
+
+    @pytest.mark.parametrize("raw", [m[1] for m in WITNESS_MAPS], ids=[m[0] for m in WITNESS_MAPS])
+    def test_negative_when_a_witness_exists(self, raw):
+        a = validate_coefficients(raw)
+        assert _structured_floor(a) < -CFG.violation_tolerance
+        assert indecomposability_probe(a, CFG) is not None
 
 
 class TestOneSidedSoundness:
