@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -47,6 +48,8 @@ from .search import (
 
 # linalg is sized for block matrices of side n^2 with n <= 16
 MAX_SIDE = 16
+# each search holds and steps all of its starts at once
+MAX_STARTS = 4096
 
 
 @dataclass(frozen=True)
@@ -58,10 +61,10 @@ class AnalysisRequest:
     output_format: str = "text"
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.starts < 1:
-            raise ValueError("starts must be at least 1")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
+        if not 1 <= self.starts <= MAX_STARTS:
+            raise ValueError(f"starts must be between 1 and {MAX_STARTS}, got {self.starts}")
         if self.output_format not in ("text", "json"):
             raise ValueError("format must be 'text' or 'json'")
 

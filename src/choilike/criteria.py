@@ -355,13 +355,6 @@ def cyclic_form_witness(a1: float, a2: float, a3: float) -> np.ndarray:
     )
 
 
-def cyclic_form_witness_simple(a1: float, a2: float, a3: float) -> np.ndarray:
-    """Simpler variant of the cyclic test vector: entries a_i^(-1/6)."""
-    return np.array(
-        [a1 ** (-1.0 / 6.0), a2 ** (-1.0 / 6.0), a3 ** (-1.0 / 6.0)], dtype=complex
-    )
-
-
 def zero_pattern_witnesses(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Block-positivity test pair (xi, eta) for zero-c-slot matrices.
 
@@ -468,8 +461,10 @@ def full_report(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Cond
     which raises InternalInconsistencyError.
     """
     form = classify_form(A)
-    cp_flag, cp_min_eig = cp_check(A, tol=band)
-    cp_verdict = make_verdict(cp_min_eig, band, "smallest eigenvalue of the coupled submatrix")
+    _, cp_slack = cp_check(A, tol=band)
+    cp_verdict = make_verdict(
+        cp_slack, band, "Schur slack 1 - sum_i 1/(1 + a_ii) of the coupled submatrix"
+    )
 
     positive_reasons: list[str] = []
     not_positive_reasons: list[str] = []

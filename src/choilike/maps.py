@@ -23,6 +23,7 @@ read entries through these accessors, never through raw indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -177,17 +178,18 @@ def choi_matrix(A: CoefficientMatrix) -> np.ndarray:
 
 
 def cp_check(A: CoefficientMatrix, tol: float = 1e-9) -> tuple[bool, float]:
-    """Complete-positivity test via the coupled n x n submatrix.
+    """Complete-positivity test: (slack >= -tol, slack), slack = 1 - sum_i 1/(1 + a_ii).
 
     The block matrix of Phi_A is positive semidefinite exactly when the
-    reduced matrix with the a_ii on the diagonal and -1 elsewhere is:
-    every remaining diagonal entry of the block matrix is a nonnegative
-    coefficient sitting in a decoupled row.
+    coupled n x n submatrix diag(1 + a_ii) - J (J all ones) is: every
+    other diagonal entry is a nonnegative coefficient in a decoupled row.
+    Its Schur complement against the positive diagonal is the slack, so
+    the map is CP iff slack >= 0.  The sum runs in exact rational
+    arithmetic, so the sign is exact on the boundary (a_ii = n - 1 gives
+    slack 0).
     """
-    from .linalg import is_psd
-
-    reduced = np.full((A.n, A.n), -1.0) + np.diag(A.a_diag + 1.0)
-    return is_psd(reduced, tol=tol)
+    slack = 1 - sum(1 / (1 + Fraction(float(a))) for a in A.a_diag)
+    return slack >= -tol, float(slack)
 
 
 def averaged_params(A: CoefficientMatrix) -> CklParams:

@@ -20,6 +20,7 @@ regardless of scheduling.  Absence of a certificate proves nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,8 +54,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.starts < 1 or self.max_iterations < 1:
             raise ValueError("starts and max_iterations must be positive")
-        if self.step_tolerance <= 0 or self.violation_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(
+            math.isfinite(t) and t > 0 for t in (self.step_tolerance, self.violation_tolerance)
+        ):
+            raise ValueError("tolerances must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -351,29 +354,23 @@ def structured_ppt_value(A: CoefficientMatrix, alpha) -> float:
 def psd_feasible_cross_terms(alpha: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
     """Scale cross terms down until the coupled submatrix is positive.
 
-    The submatrix on the (i,i) positions is diag(alpha_ii) + t (r + r^T);
-    its smallest eigenvalue is concave in t, so the feasible region is an
-    interval [0, t_max] and a bisection finds the largest usable factor.
-    Returns (t * r, t).
+    The submatrix on the (i,i) positions is M(t) = D + t S with
+    D = diag(alpha_ii) and S = r + r^T.  Maximal cross terms vanish on
+    rows with alpha_ii = 0, so on the other rows
+    M(t) = D^(1/2) (I + t D^(-1/2) S D^(-1/2)) D^(1/2), which is positive
+    exactly for t <= 1 / lambda_max(-D^(-1/2) S D^(-1/2)).  Returns
+    (t * r, t), with t = 1 when M(1) passes the PSD test.
     """
-    base = np.diag(np.diag(alpha))
+    d = np.diag(alpha)
     sym = r + r.T
-    scale = max(1.0, float(np.max(np.abs(base))), float(np.max(np.abs(sym))))
-    tol = 1e-12 * scale
-
-    def feasible(t: float) -> bool:
-        return is_psd(base + t * sym, tol=tol)[0]
-
-    if feasible(1.0):
+    scale = max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(sym))))
+    if is_psd(np.diag(d) + sym, tol=1e-12 * scale)[0]:
         return r, 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        mid = (lo + hi) / 2.0
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo * r, lo
+    live = d > 0.0
+    root = 1.0 / np.sqrt(d[live])
+    worst = float(np.linalg.eigvalsh(-root[:, None] * sym[np.ix_(live, live)] * root)[-1])
+    t = 1.0 / max(1.0, worst)
+    return t * r, t
 
 
 def _project_simplex_rows(mat: np.ndarray) -> np.ndarray:

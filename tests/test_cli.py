@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choilike.cli import main, read_matrix_file
+from choilike.cli import MAX_STARTS, main, read_matrix_file
 from choilike.maps import validate_coefficients
 from choilike.search import positivity_gap
 
@@ -110,13 +110,14 @@ class TestAnalyze:
 
     def test_kye_edge_points_complete(self, tmp_path, capsys):
         # a = 2, b = 0 sits on kye_check's excluded edge and on the
-        # decomposable boundary of the constant cyclic family
+        # decomposable boundary of the constant cyclic family; a = 2 is
+        # also the CP boundary, where the exact Schur slack is 0
         for c in np.arange(13) * 0.25:
             a = [[2.0, 0.0, c], [c, 2.0, 0.0], [0.0, c, 2.0]]
             path = write(tmp_path, {"n": 3, "A": a})
             code, doc = run_json(capsys, "analyze", "-i", path)
             assert code == 0
-            assert doc["summary"] == ["positive_proven", "decomposable_proven"]
+            assert doc["summary"] == ["cp_proven", "positive_proven", "decomposable_proven"]
 
 
 class TestSearchAndProbe:
@@ -274,13 +275,42 @@ class TestErrors:
         assert main(["analyze", "-i", path]) == 1
         assert capsys.readouterr().err.startswith("error: matrix side 17 exceeds")
 
+    @pytest.mark.parametrize("command", ["analyze", "search", "probe", "reproduce"])
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--tol", "nan"], "error: tolerance must be finite and positive"),
+            (["--tol", "inf"], "error: tolerance must be finite and positive"),
+            (["--tol=-inf"], "error: tolerance must be finite and positive"),
+            (["--tol", "0"], "error: tolerance must be finite and positive"),
+            (["--starts", "0"], f"error: starts must be between 1 and {MAX_STARTS}"),
+            (["--starts", str(MAX_STARTS + 1)], f"error: starts must be between 1 and {MAX_STARTS}"),
+        ],
+        ids=["tol-nan", "tol-inf", "tol-minus-inf", "tol-zero", "starts-zero", "starts-above-cap"],
+    )
+    def test_bad_settings_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, flags, message
+    ):
+        import choilike.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("work started despite invalid settings")
+
+        for name in ("read_matrix_file", "full_report", "find_positivity_violation",
+                     "indecomposability_probe", "validate_coefficients"):
+            monkeypatch.setattr(cli, name, never)
+        target = ["choi"] if command == "reproduce" else ["-i", write(tmp_path, ALL_ONES)]
+        assert main([command, *target, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.out == ""
+
     def test_failed_witness_verification_exits_two(self, tmp_path, capsys, monkeypatch):
         import choilike.search as search
 
         real_is_psd = search.is_psd
 
         def reject_full_states(m, tol):
-            # the n x n cross-term bisection passes; the n^2-side witness checks fail
+            # the n x n cross-term check passes; the n^2-side witness checks fail
             return (False, -1.0) if m.shape[0] > 3 else real_is_psd(m, tol=tol)
 
         monkeypatch.setattr(search, "is_psd", reject_full_states)

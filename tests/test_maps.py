@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from choilike.criteria import full_report
 from choilike.linalg import is_psd, determinant, outer_product
 from choilike.maps import (
     CklParams,
@@ -166,12 +167,28 @@ class TestChoiMatrix:
 
 class TestCpCheck:
     def test_examples(self):
-        flag, mineig = cp_check(constant_ckl_matrix(CklParams(2, 0, 0)))
-        assert flag and abs(mineig) < 1e-12
-        flag, mineig = cp_check(validate_coefficients(CHOI))
-        assert not flag and abs(mineig + 1.0) < 1e-12
-        flag, mineig = cp_check(constant_ckl_matrix(CklParams(1.9, 0, 0)))
-        assert not flag and abs(mineig + 0.1) < 1e-12
+        # the margin is the Schur slack 1 - sum_i 1/(1 + a_ii)
+        flag, slack = cp_check(constant_ckl_matrix(CklParams(2, 0, 0)))
+        assert flag and abs(slack) < 1e-12
+        flag, slack = cp_check(validate_coefficients(CHOI))
+        assert not flag and abs(slack + 0.5) < 1e-12
+        flag, slack = cp_check(constant_ckl_matrix(CklParams(1.9, 0, 0)))
+        assert not flag and abs(slack - (1 - 3 / 2.9)) < 1e-12
+
+    def test_boundary_slack_is_exactly_zero(self):
+        # a = 2 on the constant cyclic grid, and a_ii = n - 1 for any
+        # off-diagonal, sit on the boundary sum_i 1/(1 + a_ii) = 1 itself
+        grid = np.arange(13) * 0.25
+        mats = [constant_ckl_matrix(CklParams(2.0, b, c)) for b in grid for c in grid]
+        rng = np.random.default_rng(12)
+        for n in range(2, 9):
+            raw = rng.random((n, n)) * 3
+            np.fill_diagonal(raw, n - 1)
+            mats.append(validate_coefficients(raw))
+        assert len(mats) == 169 + 7
+        for a in mats:
+            assert cp_check(a) == (True, 0.0)
+            assert "cp_proven" in full_report(a).summary
 
     def test_agrees_with_full_block_psd(self):
         rng = np.random.default_rng(100)

@@ -117,6 +117,36 @@ def pair_loop_probe(A, cfg):
     )
 
 
+def bisection_cross_terms(alpha, r):
+    """Reference for psd_feasible_cross_terms: the largest t in [0, 1] with
+    diag(alpha_ii) + t (r + r^T) PSD within 1e-12 * scale, by 40 halvings."""
+    base = np.diag(np.diag(alpha))
+    sym = r + r.T
+    scale = max(1.0, float(np.max(np.abs(base))), float(np.max(np.abs(sym))))
+
+    def feasible(t):
+        return is_psd(base + t * sym, tol=1e-12 * scale)[0]
+
+    if feasible(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = (lo + hi) / 2.0
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestSearchConfig:
+    @pytest.mark.parametrize("field", ["step_tolerance", "violation_tolerance"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-9])
+    def test_tolerance_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SearchConfig(**{field: value})
+
+
 class TestPositivityGap:
     def test_zero_coefficients_single_support(self):
         a = validate_coefficients(np.zeros((2, 2)))
@@ -368,6 +398,35 @@ class TestStructuredValue:
         r = maximal_cross_terms(alpha)
         shrunk, factor = psd_feasible_cross_terms(alpha, r)
         assert factor == 1.0 and np.array_equal(shrunk, r)
+
+    def test_closed_form_shrink_matches_bisection_oracle(self):
+        # t_closed is the exact boundary of D + t S >= 0; the bisection
+        # oracle accepts anything within its 1e-12 * scale tolerance and
+        # stops at most 2^-40 short of that, so it may stop above t_closed,
+        # and below it by no more than its resolution
+        rng = np.random.default_rng(2718)
+        shrunk = 0
+        for _ in range(3000):
+            n = int(rng.integers(2, 9))
+            alpha = rng.random((n, n))
+            alpha[rng.random((n, n)) < 0.2] = 0.0
+            r = maximal_cross_terms(alpha)
+            t_bisect = bisection_cross_terms(alpha, r)
+            scaled, t_closed = psd_feasible_cross_terms(alpha, r)
+            assert np.array_equal(scaled, t_closed * r)
+            d, sym = np.diag(np.diag(alpha)), r + r.T
+            scale = max(1.0, float(np.max(d)), float(np.max(sym)))
+            low = np.linalg.eigvalsh(d + t_closed * sym)[0]
+            assert low >= -1e-12 * scale
+            assert t_closed <= t_bisect + 2.0 ** -40
+            if t_closed < 1.0:
+                shrunk += 1
+                assert low <= 1e-12 * scale  # singular: on the boundary itself
+            # a larger gap is the oracle's own tolerance: it accepted a
+            # matrix that is not PSD beyond rounding
+            if t_closed < t_bisect - 1e-8:
+                assert np.linalg.eigvalsh(d + t_bisect * sym)[0] < -1e-13 * scale
+        assert shrunk >= 1000
 
 
 class TestIndecomposabilityProbe:
