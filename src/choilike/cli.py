@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .criteria import (
+    HOLDS,
     ConditionReport,
     InternalInconsistencyError,
     Verdict,
@@ -151,6 +152,7 @@ def _conditions_list(report: ConditionReport) -> list[dict]:
             _verdict_entry("b_only_necessary", report.b_only_necessary),
             _verdict_entry("scaling_sufficient", report.scaling_sufficient),
             _verdict_entry("boundary_proposition", report.boundary_proposition),
+            _verdict_entry("structured_decomposition", report.structured_decomposition),
         ]
     )
     return out
@@ -271,7 +273,10 @@ def run_analysis(
     """Full criteria report plus certificate searches."""
     report = full_report(A, band=request.tolerance)
     cfg = request.search_config()
-    violation = find_positivity_violation(A, cfg)
+    # an exactly verified decomposition leaves no violation to find
+    violation = None
+    if report.structured_decomposition.status != HOLDS:
+        violation = find_positivity_violation(A, cfg)
     summary = _analysis_summary(report, violation)
     witness = None
     if "not_positive_proven" not in summary:

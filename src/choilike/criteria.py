@@ -26,6 +26,7 @@ from .maps import (
     averaged_params,
     classify_form,
     cp_check,
+    decomposition_check,
     geometric_means,
     matches_b_only,
     matches_cyclic_bc,
@@ -448,6 +449,7 @@ class ConditionReport:
     b_only_necessary: Verdict = not_applicable()
     scaling_sufficient: Verdict = not_applicable()
     boundary_proposition: Verdict = not_applicable()
+    structured_decomposition: Verdict = not_applicable()
     summary: tuple[str, ...] = ()
 
 
@@ -538,6 +540,18 @@ def full_report(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Cond
     if refuted(boundary_verdict):
         not_positive_reasons.append("boundary_proposition")
 
+    # an exactly verified decomposition; its failure refutes nothing
+    verified, floor = decomposition_check(A)
+    structured_verdict = Verdict(
+        HOLDS if verified else FAILS,
+        floor,
+        "lambda_min(T), T_ii = a_ii, T_ij = -max(0, 1 - sqrt(a_ij a_ji)); "
+        "holds when T decomposes the map, checked in exact rationals",
+    )
+    if verified:
+        positive_reasons.append("structured_decomposition")
+        decomposable_reasons.append("structured_decomposition")
+
     if positive_reasons and not_positive_reasons:
         raise InternalInconsistencyError(
             f"positivity proven by {positive_reasons} but refuted by {not_positive_reasons}"
@@ -577,5 +591,6 @@ def full_report(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Cond
         b_only_necessary=bonly_verdict,
         scaling_sufficient=scaling_verdict,
         boundary_proposition=boundary_verdict,
+        structured_decomposition=structured_verdict,
         summary=tuple(flags),
     )

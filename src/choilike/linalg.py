@@ -3,8 +3,7 @@
 Everything here is sized for matrices a few hundred rows at most (the
 largest objects in this package are block matrices of side n^2 with
 n <= 16).  Eigenvalues and determinants come from numpy's LAPACK
-routines behind a Hermitian input check; every eigenvalue call also
-reports its a-posteriori residual.  LAPACK is deterministic for
+routines behind a Hermitian input check.  LAPACK is deterministic for
 identical input on one machine and numpy build, so reports are
 byte-identical there; across builds the low-order bits may differ.
 
@@ -43,22 +42,14 @@ def require_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Eigenvalues of a Hermitian matrix, sorted ascending.
-
-    ``residual`` is max_k ||H v_k - w_k v_k||_2 over the computed
-    eigenpairs, a direct a-posteriori quality measure.
-    """
+    """Eigenvalues of a Hermitian matrix, sorted ascending."""
 
     values: np.ndarray
-    residual: float
 
 
 def hermitian_eigenvalues(matrix, atol: float = HERMITIAN_ATOL) -> EigenResult:
-    """All eigenvalues of a Hermitian matrix, by LAPACK through numpy.linalg.eigh."""
-    h = require_hermitian(matrix, atol=atol)
-    values, vectors = np.linalg.eigh(h)
-    residual = float(np.max(np.linalg.norm(h @ vectors - vectors * values, axis=0)))
-    return EigenResult(values=values, residual=residual)
+    """All eigenvalues of a Hermitian matrix, by LAPACK through numpy.linalg.eigvalsh."""
+    return EigenResult(values=np.linalg.eigvalsh(require_hermitian(matrix, atol=atol)))
 
 
 def is_psd(matrix, tol: float = PSD_TOL) -> tuple[bool, float]:

@@ -192,6 +192,98 @@ def cp_check(A: CoefficientMatrix, tol: float = 1e-9) -> tuple[bool, float]:
     return slack >= -tol, float(slack)
 
 
+def structured_matrix(A: CoefficientMatrix) -> np.ndarray:
+    """The n x n Z-matrix T: T_ii = a_ii, T_ij = -max(0, 1 - sqrt(a_ij a_ji))."""
+    t = -np.maximum(0.0, 1.0 - np.sqrt(A.a * A.a.T))
+    np.fill_diagonal(t, np.diag(A.a))
+    return t
+
+
+def structured_rounding(A: CoefficientMatrix) -> float:
+    """Bound on the rounding of lambda_min(T) and of the structured PPT pairing.
+
+    The pairing sums fewer than n^2 terms with partial sums below
+    max a + n, so it rounds off by less than 1e-14 n^2 (n + max a);
+    eigvalsh and the rounding of T add less than 1e-14 n (n + max a).
+    """
+    n = A.n
+    return 1e-14 * n * (n + 1) * (n + float(A.a.max()))
+
+
+_BOX_STEPS = 4
+
+
+def _box_certificate(A: CoefficientMatrix, t: np.ndarray) -> np.ndarray | None:
+    """T with off-diagonals moved toward -1 until (1 + M_ij)^2 <= a_ij a_ji exactly.
+
+    In exact arithmetic 1 + T_ij = min(1, sqrt(a_ij a_ji)) sits on the
+    box; the float T may overshoot it by a few ulps.  Each step moves the
+    failing entries by at least one ulp of M_ij and of 1 + M_ij.  Returns
+    None when the box still fails after _BOX_STEPS steps.
+    """
+    n = A.n
+    a = [[Fraction(float(v)) for v in row] for row in A.a]
+    m = t.copy()
+    for _ in range(_BOX_STEPS + 1):
+        bad = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if (1 + Fraction(float(m[i, j]))) ** 2 > a[i][j] * a[j][i]
+        ]
+        if not bad:
+            return m
+        for i, j in bad:
+            step = min(np.nextafter(m[i, j], -1.0), m[i, j] - np.spacing(1.0 + m[i, j]))
+            m[i, j] = m[j, i] = step
+    return None
+
+
+def _rational_psd(m: np.ndarray) -> bool:
+    """Exact M >= 0 for a symmetric float matrix, by LDL^T in Fraction.
+
+    A negative pivot refutes; a zero pivot is allowed only when the rest
+    of its column is exactly zero (otherwise a 2 x 2 minor is negative).
+    """
+    n = m.shape[0]
+    w = [[Fraction(float(v)) for v in row] for row in m]
+    for k in range(n):
+        d = w[k][k]
+        if d < 0:
+            return False
+        if d == 0:
+            if any(w[i][k] != 0 for i in range(k + 1, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            f = w[i][k] / d
+            if f:
+                for j in range(k + 1, i + 1):
+                    w[i][j] -= f * w[j][k]
+    return True
+
+
+def decomposition_check(A: CoefficientMatrix) -> tuple[bool, float]:
+    """Exactly verified decomposability: (certificate checked, lambda_min(T)).
+
+    Twirling by diagonal unitaries reduces C = P + Q^Gamma (C the block
+    matrix, P, Q >= 0) to an n x n M >= 0 with M_ii = a_ii and
+    (1 + M_ij)^2 <= a_ij a_ji: P is M on the |ii> positions and Q is the
+    2 x 2 blocks [[a_ki, -(1 + M_ik)], [-(1 + M_ik), a_ik]] on
+    {|ik>, |ki>}.  T of structured_matrix is such an M whenever it is
+    positive semidefinite, so lambda_min(T) >= 0 proves Phi_A decomposable
+    and hence positive.  A clearly negative lambda_min(T) returns False
+    at once; otherwise T is moved into the box by _box_certificate and its
+    positivity is decided exactly by _rational_psd.  False proves nothing.
+    """
+    t = structured_matrix(A)
+    floor = float(np.linalg.eigvalsh(t)[0])
+    if floor < -structured_rounding(A):
+        return False, floor
+    m = _box_certificate(A, t)
+    return m is not None and _rational_psd(m), floor
+
+
 def averaged_params(A: CoefficientMatrix) -> CklParams:
     """Arithmetic means (a-bar, b-bar, c-bar) of the named n = 3 entries."""
     A._require_n3()

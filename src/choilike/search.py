@@ -36,7 +36,14 @@ from .linalg import (
     outer_product,
     require_hermitian,
 )
-from .maps import CoefficientMatrix, apply_map, choi_matrix
+from .maps import (
+    CoefficientMatrix,
+    apply_map,
+    choi_matrix,
+    decomposition_check,
+    structured_matrix,
+    structured_rounding,
+)
 
 _STEP_FLOOR = 1e-18
 _GROW = 1.25
@@ -230,7 +237,18 @@ def find_positivity_violation(
     samples; the projection clamps negatives and renormalizes.  Returns
     the best certificate when the optimum is below -violation_tolerance,
     otherwise None (which proves nothing).
+
+    Early exit.  The search first returns None when decomposition_check
+    verifies a decomposition of the map exactly.  A decomposable map is
+    positive, so the gap is nonnegative at every (p, q) and the full
+    descent would end with a gap that is nonnegative up to its rounding,
+    above -violation_tolerance, and return None too.  Only this exactly
+    checked certificate ends the search: after a proof by formula alone
+    the descent still runs, as the cross-check that exposes a wrong
+    theorem.
     """
+    if decomposition_check(A)[0]:
+        return None
     n = A.n
     w = A.a + np.eye(n)
     starts = cfg.starts
@@ -425,10 +443,7 @@ def _structured_floor(A: CoefficientMatrix) -> float:
     lambda_min(T) |x|^2 (a zero a_ij or a_ji is approached as a limit).
     So a structured witness exists iff lambda_min(T) < 0.
     """
-    mu = np.maximum(0.0, 1.0 - np.sqrt(A.a * A.a.T))
-    t = -mu
-    np.fill_diagonal(t, np.diag(A.a))
-    return float(np.linalg.eigvalsh(t)[0])
+    return float(np.linalg.eigvalsh(structured_matrix(A))[0])
 
 
 # Sums run through a sequential cumsum in pair order (diagonal gradient
@@ -494,13 +509,9 @@ def indecomposability_probe(
     1 - sqrt(bc)), whose sign changes exactly on the Cho-Kye-Lee
     decomposability boundary 4bc = (2 - a)^2, a < 2.
     """
-    n = A.n
-    # the objective sums fewer than n^2 terms with partial sums below max a + n, so it
-    # rounds off by less than 1e-14 n^2 (n + max a); eigvalsh and the rounding of T
-    # add less than 1e-14 n (n + max a)
-    margin = 1e-14 * n * (n + 1) * (n + float(A.a.max()))
-    if _structured_floor(A) > -cfg.violation_tolerance + margin:
+    if _structured_floor(A) > -cfg.violation_tolerance + structured_rounding(A):
         return None
+    n = A.n
 
     cost = A.a.T
     alphas = _probe_seeds(A, cfg.starts, cfg.seed)

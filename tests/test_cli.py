@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choilike import cli, criteria, search
 from choilike.cli import MAX_STARTS, main, read_matrix_file
+from choilike.criteria import HOLDS, Verdict
 from choilike.maps import validate_coefficients
 from choilike.search import positivity_gap
 
@@ -118,6 +120,58 @@ class TestAnalyze:
             code, doc = run_json(capsys, "analyze", "-i", path)
             assert code == 0
             assert doc["summary"] == ["cp_proven", "positive_proven", "decomposable_proven"]
+
+
+# inconclusive by every formula, but T (lambda_min 0.391) decomposes the map exactly
+STRUCTURED = {"n": 3, "A": [[0.46, 1.17, 1.41], [0.57, 1.72, 0.14], [1.49, 0.32, 1.13]]}
+
+
+class TestStructuredDecomposition:
+    def test_new_proof_pinned(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "find_positivity_violation", None)  # a call would raise
+        path = write(tmp_path, STRUCTURED)
+        code, doc = run_json(capsys, "analyze", "-i", path)
+        assert code == 0
+        assert doc["summary"] == ["positive_proven", "decomposable_proven"]
+        row = doc["conditions"][-1]
+        assert row["name"] == "structured_decomposition" and row["status"] == "holds"
+        assert row["margin"] == pytest.approx(0.3910829493693102, abs=1e-12)
+        assert "violation_certificate" not in doc and "ppt_witness" not in doc
+        # without the exact check no criterion settles this map
+        monkeypatch.setattr(criteria, "decomposition_check", lambda _: (False, 0.0))
+        monkeypatch.setattr(search, "decomposition_check", lambda _: (False, 0.0))
+        monkeypatch.setattr(cli, "find_positivity_violation", search.find_positivity_violation)
+        code, doc = run_json(capsys, "analyze", "-i", path)
+        assert code == 0 and doc["summary"] == ["inconclusive"]
+
+    def test_analysis_checks_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        check = criteria.decomposition_check
+
+        def counting(a):
+            calls.append(1)
+            return check(a)
+
+        monkeypatch.setattr(criteria, "decomposition_check", counting)
+        monkeypatch.setattr(search, "decomposition_check", counting)
+        code, doc = run_json(capsys, "analyze", "-i", write(tmp_path, STRUCTURED))
+        assert code == 0 and len(calls) == 1
+
+    def test_failed_check_refutes_nothing(self, tmp_path, capsys):
+        code, doc = run_json(capsys, "analyze", "-i", write(tmp_path, CHOI))
+        assert code == 0
+        row = doc["conditions"][-1]
+        assert row["name"] == "structured_decomposition" and row["status"] == "fails"
+        assert set(doc["summary"]) == {"positive_proven", "indecomposable_proven"}
+
+    def test_formula_proof_keeps_the_search_as_cross_check(self, tmp_path, capsys, monkeypatch):
+        # (0.9, 0.5, 0.5) is not positive (a + b + c < 2) and no other formula refutes
+        # it; a wrong ckl_is_positive must still end in exit 2 through the search
+        monkeypatch.setattr(criteria, "ckl_is_positive", lambda p, band=0: Verdict(HOLDS, 1.0))
+        a = [[0.9, 0.5, 0.5], [0.5, 0.9, 0.5], [0.5, 0.5, 0.9]]
+        path = write(tmp_path, {"n": 3, "A": a})
+        code, _ = run_cli(capsys, "analyze", "-i", path)
+        assert code == 2
 
 
 class TestSearchAndProbe:

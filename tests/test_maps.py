@@ -1,11 +1,16 @@
 """Tests for map construction, block matrices and coefficient patterns."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from choilike import maps
 from choilike.criteria import full_report
 from choilike.linalg import is_psd, determinant, outer_product
 from choilike.maps import (
+    _box_certificate,
+    _rational_psd,
     CklParams,
     ScalingVector,
     apply_map,
@@ -14,6 +19,7 @@ from choilike.maps import (
     classify_form,
     constant_ckl_matrix,
     cp_check,
+    decomposition_check,
     geometric_means,
     kye_matrix,
     KyeParams,
@@ -22,6 +28,7 @@ from choilike.maps import (
     matches_kye_form,
     scaled_ckl_matrix,
     shift_average,
+    structured_matrix,
     validate_coefficients,
 )
 
@@ -203,6 +210,121 @@ class TestCpCheck:
             full_flag, _ = is_psd(choi_matrix(a), tol=1e-9)
             assert reduced_flag == full_flag
             checked += 1
+
+
+def _ckl_grid():
+    values = np.arange(0.0, 3.0001, 0.25)
+    return [(float(a), float(b), float(c)) for a in values for b in values for c in values]
+
+
+def _certificate(a):
+    return _box_certificate(a, structured_matrix(a))
+
+
+# T is exactly singular on these: T = (3/2) I - J/2 at (1, 1/4, 1) on the boundary
+# 4bc = (2 - a)^2, and T = n I - J at a_ii = n - 1 with every a_ij = 0
+BOUNDARY_MAPS = [("ckl-1-0.25-1", constant_ckl_matrix(CklParams(1, 0.25, 1)).a)]
+BOUNDARY_MAPS += [("ckl-2-0-0", constant_ckl_matrix(CklParams(2, 0, 0)).a)]
+BOUNDARY_MAPS += [(f"diag-{n}", np.eye(n) * (n - 1)) for n in range(2, 9)]
+
+
+class TestDecompositionCheck:
+    """An exactly verified M >= 0 with M_ii = a_ii and (1 + M_ij)^2 <= a_ij a_ji."""
+
+    @staticmethod
+    def _assert_decomposes(a, m):
+        # n^2-side oracle: P is M on the |ii> positions, Q the 2 x 2 blocks
+        # [[a_ki, -(1 + M_ik)], [-(1 + M_ik), a_ik]] on {|ik>, |ki>}; C = P + Q^Gamma
+        n = a.n
+        exact = np.vectorize(lambda v: Fraction(float(v)), otypes=[object])
+        am, mm = exact(a.a), exact(m)
+        p = np.full((n * n, n * n), Fraction(0), dtype=object)
+        q = np.full((n * n, n * n), Fraction(0), dtype=object)
+        for i in range(n):
+            for j in range(n):
+                p[i * n + i, j * n + j] = mm[i, j]
+                if i != j:
+                    q[i * n + j, i * n + j] = am[j, i]
+                    q[i * n + j, j * n + i] = -(1 + mm[i, j])
+        gamma = q.reshape(n, n, n, n).transpose(0, 3, 2, 1).reshape(n * n, n * n)
+        assert np.array_equal(p + gamma, exact(choi_matrix(a).real))
+        scale = 1.0 + float(np.max(a.a))
+        assert np.linalg.eigvalsh(p.astype(float))[0] >= -1e-12 * scale
+        assert np.linalg.eigvalsh(q.astype(float))[0] >= -1e-12 * scale
+        for i in range(n):
+            for k in range(i + 1, n):
+                assert q[i * n + k, k * n + i] ** 2 <= am[k, i] * am[i, k]
+
+    def test_ckl_grid_matches_the_decomposability_boundary(self):
+        tested = passed = 0
+        for abc in _ckl_grid():
+            a_val, b, c = abc
+            a = constant_ckl_matrix(CklParams(*abc))
+            verified, floor = decomposition_check(a)
+            assert floor == pytest.approx(a_val - 2 * max(0.0, 1 - np.sqrt(b * c)), abs=1e-12)
+            if verified:
+                passed += 1
+                self._assert_decomposes(a, _certificate(a))
+            if abs(4 * b * c - (2 - a_val) ** 2) < 1e-9:
+                assert verified, abc  # the boundary itself decomposes, exactly
+                continue
+            tested += 1
+            assert verified == (a_val >= 2 or 4 * b * c >= (2 - a_val) ** 2), abc
+        assert tested == 2158 and passed == 1881
+
+    def test_random_certificates_decompose_the_choi_matrix(self):
+        rng = np.random.default_rng(606)
+        passed = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            raw = rng.random((n, n)) * rng.choice([1.0, 2.0]) * (rng.random((n, n)) > 0.1)
+            np.fill_diagonal(raw, rng.uniform(0.0, n - 1, n))
+            a = validate_coefficients(raw)
+            verified, floor = decomposition_check(a)
+            assert verified == (floor >= 0), (raw.tolist(), floor)  # no near-singular draws
+            if verified:
+                passed += 1
+                self._assert_decomposes(a, _certificate(a))
+        assert passed == 77
+
+    @pytest.mark.parametrize("raw", [m[1] for m in BOUNDARY_MAPS], ids=[m[0] for m in BOUNDARY_MAPS])
+    def test_exact_boundary_points(self, raw, monkeypatch):
+        a = validate_coefficients(raw)
+        assert decomposition_check(a)[0]
+        m = _certificate(a)
+        assert np.array_equal(m, structured_matrix(a))  # already inside the box
+        assert _rational_psd(m)
+        # mutation: a relative 2^-40 more on the off-diagonal leaves M indefinite
+        off = ~np.eye(a.n, dtype=bool)
+        mutated = np.where(off, m * (1 + 2.0**-40), m)
+        assert not _rational_psd(mutated)
+        monkeypatch.setattr(maps, "structured_matrix", lambda _: mutated)
+        assert not decomposition_check(a)[0]
+
+    def test_box_steps_repair_rounded_entries(self):
+        # 1 - fl(1 - fl(sqrt(fl(0.01 * 0.01)))) exceeds the exact sqrt, so 1 + T_12
+        # starts outside the box; one step of one ulp moves it inside
+        a = validate_coefficients([[1.0, 0.01], [0.01, 1.0]])
+        t = structured_matrix(a)
+        box = Fraction(0.01) * Fraction(0.01)
+        assert (1 + Fraction(float(t[0, 1]))) ** 2 > box
+        m = _certificate(a)
+        assert (1 + Fraction(float(m[0, 1]))) ** 2 <= box
+        assert m[0, 1] == np.nextafter(t[0, 1], -1.0)
+        assert decomposition_check(a)[0]
+
+    def test_zero_pivot_needs_a_zero_column(self):
+        assert _rational_psd(np.array([[0.0, 0.0], [0.0, 1.0]]))
+        assert not _rational_psd(np.array([[0.0, 1e-300], [1e-300, 1.0]]))
+        assert not _rational_psd(np.array([[1.0, 1.0], [1.0, 1.0 - 2.0**-52]]))
+        assert _rational_psd(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("abc,floor", [((1, 1, 0), -1.0), ((1 - 1e-6, 0.5, 0.5), -1e-6)])
+    def test_clearly_indefinite_t_does_no_rational_work(self, abc, floor, monkeypatch):
+        # the Choi map, and lambda_min(T) = a - 2 (1 - sqrt(bc)) just below 0
+        monkeypatch.setattr(maps, "_box_certificate", None)  # a call would raise
+        verified, got = decomposition_check(constant_ckl_matrix(CklParams(*abc)))
+        assert not verified and got == pytest.approx(floor, abs=1e-12)
 
 
 class TestAveraging:

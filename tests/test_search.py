@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choilike.criteria import cyclic_form_witness, zero_pattern_witnesses
+from choilike import search
 from choilike.linalg import (
     hermitian_eigenvalues,
     is_psd,
@@ -18,6 +19,7 @@ from choilike.maps import (
     apply_map,
     choi_matrix,
     constant_ckl_matrix,
+    decomposition_check,
     kye_matrix,
     validate_coefficients,
 )
@@ -255,6 +257,44 @@ class TestViolationSearch:
         cert = find_positivity_violation(COUNTEREXAMPLE, CFG)
         mineig = hermitian_eigenvalues(apply_map(COUNTEREXAMPLE, outer_product(cert.q))).values[0]
         assert cert.residual_check == pytest.approx(float(mineig), abs=1e-12)
+
+
+class TestCertifiedExit:
+    """find_positivity_violation returns None at entry on an exactly decomposed map."""
+
+    def test_full_descent_agrees_on_certified_maps(self, monkeypatch):
+        rng = np.random.default_rng(707)
+        maps = []
+        while len(maps) < 100:
+            n = int(rng.integers(2, 9))
+            raw = rng.random((n, n)) * 1.5
+            np.fill_diagonal(raw, rng.uniform(0.3, n - 1, n))
+            a = validate_coefficients(raw)
+            if decomposition_check(a)[0]:
+                maps.append(a)
+        monkeypatch.setattr(search, "decomposition_check", lambda _: (False, 0.0))
+        cfg = SearchConfig(seed=3, starts=16)
+        for a in maps:
+            assert find_positivity_violation(a, cfg) is None, a.a.tolist()
+
+    def test_certified_map_runs_no_iteration(self, monkeypatch):
+        monkeypatch.setattr(search, "_project_unit_nonneg", None)  # a call would raise
+        assert decomposition_check(ALL_ONES)[0]
+        assert find_positivity_violation(ALL_ONES, CFG) is None
+
+    def test_choi_map_still_searches(self, monkeypatch):
+        # positive, but T = 2 I - J is indefinite, so no certificate ends the search
+        calls = []
+        project = search._project_unit_nonneg
+
+        def counting(mat, fallback):
+            calls.append(1)
+            return project(mat, fallback)
+
+        monkeypatch.setattr(search, "_project_unit_nonneg", counting)
+        assert not decomposition_check(CHOI)[0]
+        assert find_positivity_violation(CHOI, CFG) is None
+        assert len(calls) > 0
 
 
 class TestVerifyCounterexample:
