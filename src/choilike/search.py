@@ -48,6 +48,7 @@ from .maps import (
 _STEP_FLOOR = 1e-18
 _GROW = 1.25
 _SHRINK = 0.5
+_SETTLED_REL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -228,6 +229,23 @@ def _project_unit_nonneg(mat: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return out
 
 
+def _descent_settled(G, active, last_gain, remaining: int, tolerance: float) -> bool:
+    """True when the violation descent may stop before every start has converged.
+
+    The lowest value must belong to a converged start and lie below
+    -tolerance, so it is a certificate.  Each start still moving must then
+    either lie within _SETTLED_REL of it, relative (the same minimum, which
+    the converged start already holds to that accuracy), or stay above it
+    even if its last gain repeated for all ``remaining`` iterations.
+    """
+    best = int(np.argmin(G))
+    low = G[best]
+    if active[best] or low >= -tolerance:
+        return False
+    moving = active & (G > low - _SETTLED_REL * low) & (G - last_gain * remaining < low)
+    return not np.any(moving)
+
+
 def find_positivity_violation(
     A: CoefficientMatrix, cfg: SearchConfig = SearchConfig()
 ) -> ViolationCertificate | None:
@@ -246,6 +264,15 @@ def find_positivity_violation(
     checked certificate ends the search: after a proof by formula alone
     the descent still runs, as the cross-check that exposes a wrong
     theorem.
+
+    Early stop.  Near a degenerate minimum or saddle some starts creep
+    with gains just above step_tolerance until max_iterations, long after
+    the best start has converged.  The descent therefore also stops once
+    _descent_settled holds: the lowest value is a converged certificate,
+    and no start still moving could end materially below it at its
+    current pace.  A certificate exists when the descent stops early, so
+    whether one is returned is the same as after the full descent; only
+    its last digits may differ.
     """
     if decomposition_check(A)[0]:
         return None
@@ -273,8 +300,9 @@ def find_positivity_violation(
     G = values(P, Q)
     step = np.full(starts, 0.25)
     active = np.ones(starts, dtype=bool)
+    last_gain = np.full(starts, np.inf)  # gain of each start's latest accepted step
 
-    for _ in range(cfg.max_iterations):
+    for it in range(cfg.max_iterations):
         if not np.any(active):
             break
         dots = (P * Q).sum(axis=1, keepdims=True)
@@ -286,11 +314,14 @@ def find_positivity_violation(
         improved = active & (newG < G)
         P = np.where(improved[:, None], newP, P)
         Q = np.where(improved[:, None], newQ, Q)
-        gain = np.where(improved, G - newG, 0.0)
+        last_gain = np.where(improved, G - newG, last_gain)
         G = np.where(improved, newG, G)
         step = np.where(improved, step * _GROW, np.where(active, step * _SHRINK, step))
-        active = active & ~(improved & (gain < cfg.step_tolerance))
+        active = active & ~(improved & (last_gain < cfg.step_tolerance))
         active = active & (step > _STEP_FLOOR)
+        remaining = cfg.max_iterations - it
+        if _descent_settled(G, active, last_gain, remaining, cfg.violation_tolerance):
+            break
 
     best = int(np.argmin(G))  # first minimal index: lexicographic (value, start)
     p_best, q_best = P[best], Q[best]

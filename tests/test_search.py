@@ -297,6 +297,87 @@ class TestCertifiedExit:
         assert len(calls) > 0
 
 
+def _full_descent(monkeypatch):
+    """Switch the violation search's early stop off: every start runs to its own stop."""
+    monkeypatch.setattr(search, "_descent_settled", lambda *_: False)
+
+
+class TestEarlyStop:
+    """The violation descent stops once no moving start could beat a converged certificate."""
+
+    @staticmethod
+    def _settled(values, active, last_gain, remaining=100):
+        return search._descent_settled(
+            np.array(values), np.array(active), np.array(last_gain), remaining, 1e-9
+        )
+
+    def test_settled_rule(self):
+        # the lowest value must be a converged certificate
+        assert not self._settled([-0.5, -0.1], [True, False], [1e-3, 1e-3])
+        assert not self._settled([-1e-10, 0.3], [False, False], [0.0, 0.0])
+        assert self._settled([-0.5, -0.1], [False, False], [0.0, 0.0])
+        # a moving start within _SETTLED_REL of it is on the same minimum
+        assert self._settled([-0.5, -0.5 + 1e-6], [False, True], [0.0, 1.0])
+        # a moving start that reaches below it at its last gain keeps the descent going
+        assert not self._settled([-0.5, -0.1], [False, True], [0.0, 0.005])
+        assert self._settled([-0.5, -0.1], [False, True], [0.0, 0.003])
+        # a start that has not yet taken a step counts as moving
+        assert not self._settled([-0.5, 0.2], [False, True], [0.0, np.inf])
+
+    def test_creeping_start_no_longer_runs_to_max_iterations(self, monkeypatch):
+        # at (1, 1/2, 0) one start creeps toward a zero-gap saddle for all
+        # 2000 iterations while the best converges to -1/6 within 40
+        a = constant_ckl_matrix(CklParams(1.0, 0.5, 0.0))
+        project = search._project_unit_nonneg
+        for early, calls_max in ((True, 200), (False, None)):
+            calls = []
+
+            def counting(mat, fallback):
+                calls.append(1)
+                return project(mat, fallback)
+
+            monkeypatch.setattr(search, "_project_unit_nonneg", counting)
+            if not early:
+                _full_descent(monkeypatch)
+            cert = find_positivity_violation(a, CFG)
+            assert cert.gap == pytest.approx(-1 / 6, abs=1e-12)
+            if early:
+                assert len(calls) < calls_max
+            else:
+                assert len(calls) == 2 * CFG.max_iterations
+
+    def test_waits_for_a_start_still_descending(self, monkeypatch):
+        # when the best start converges here another start is still well
+        # above it but descending fast; stopping then would return a gap
+        # 2.7 % short of the full descent's -0.02001
+        a = validate_coefficients(
+            [
+                [1.08, 1.1, 1.42, 1.46, 0.44],
+                [0.77, 0.11, 1.68, 0.7, 1.08],
+                [0.54, 1.6, 0.22, 1.97, 1.85],
+                [1.09, 1.9, 0.93, 1.77, 1.08],
+                [0.85, 0.2, 0.27, 0.23, 1.98],
+            ]
+        )
+        early = find_positivity_violation(a, CFG)
+        _full_descent(monkeypatch)
+        full = find_positivity_violation(a, CFG)
+        assert full.gap < -0.02
+        assert early.gap == pytest.approx(full.gap, rel=1e-8)
+
+    def test_agrees_with_the_full_descent(self, monkeypatch):
+        rng = np.random.default_rng(515)
+        maps = [validate_coefficients(1.5 * rng.random((n, n))) for n in rng.integers(2, 7, 40)]
+        early = [find_positivity_violation(a, CFG) for a in maps]
+        _full_descent(monkeypatch)
+        full = [find_positivity_violation(a, CFG) for a in maps]
+        assert sum(c is not None for c in full) >= 20
+        for a, e, f in zip(maps, early, full):
+            assert (e is None) == (f is None), a.a.tolist()
+            if f is not None:
+                assert f.gap <= e.gap <= f.gap * (1 - 1e-5), a.a.tolist()
+
+
 class TestVerifyCounterexample:
     def test_named_instance(self):
         check = verify_counterexample(COUNTEREXAMPLE, outer_product(ZETA5))
