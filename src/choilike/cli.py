@@ -7,8 +7,8 @@ names or as a plain-text table; identical invocations (same file, flags
 and seed) produce byte-identical output.
 
 Exit codes: 0 analysis completed (whatever the verdict), 1 unreadable or
-invalid input, 2 internal inconsistency (two criteria contradicted each
-other, which indicates a bug).
+invalid input or command line, 2 internal inconsistency (two criteria
+contradicted each other, which indicates a bug).
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ class AnalysisRequest:
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
         if not 1 <= self.starts <= MAX_STARTS:
             raise ValueError(f"starts must be between 1 and {MAX_STARTS}, got {self.starts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.output_format not in ("text", "json"):
             raise ValueError("format must be 'text' or 'json'")
 
@@ -378,8 +380,16 @@ def cmd_reproduce(name: str, request: AnalysisRequest, a_params: list[float] | N
     return doc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the code for invalid input; 2 means an internal inconsistency."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="choilike",
         description="Positivity and decomposability analysis of Choi-like maps",
     )

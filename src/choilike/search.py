@@ -11,11 +11,14 @@ Two one-sided certificate families are produced here:
   (j,j) positions, whose pairing against the block matrix of the map is
   negative.
 
-Both searches are multi-start projected gradient descent.  Per-start
-randomness comes from counter-based streams derived from (seed,
-start index) and the final answer is the lexicographic minimum over
-(value, start index), so results are bit-identical for a fixed seed
-regardless of scheduling.  Absence of a certificate proves nothing.
+The violation search is multi-start projected gradient descent.
+Per-start randomness comes from counter-based streams derived from
+(seed, start index) and the final answer is the lexicographic minimum
+over (value, start index), so results are bit-identical for a fixed
+seed regardless of scheduling.  The witness probe has no starts and no
+randomness: it takes the closed-form optimum of its structured family,
+the root of an n x n eigenvalue in one scalar.  Absence of a
+certificate proves nothing.
 """
 
 from __future__ import annotations
@@ -62,6 +65,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.starts < 1 or self.max_iterations < 1:
             raise ValueError("starts and max_iterations must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not all(
             math.isfinite(t) and t > 0 for t in (self.step_tolerance, self.violation_tolerance)
         ):
@@ -382,24 +387,6 @@ def assemble_structured_state(alpha: np.ndarray, r: np.ndarray) -> np.ndarray:
     return rho
 
 
-def structured_ppt_value(A: CoefficientMatrix, alpha) -> float:
-    """Pairing of the structured family against the map's block matrix.
-
-    Equals Tr(rho C) for the assembled state with maximal cross terms:
-    the diagonal profile pays sum_{i,k} a_ki alpha[i][k] (the orientation
-    is fixed by direct block accounting) and each pair contributes
-    -2 min(sqrt(alpha_ii alpha_jj), sqrt(alpha_ij alpha_ji)).
-    """
-    al = np.asarray(alpha, dtype=float)
-    if al.shape != (A.n, A.n):
-        raise ValueError(f"alpha must be {A.n} x {A.n}, got {al.shape}")
-    if np.min(al) < 0.0:
-        raise ValueError("alpha entries must be nonnegative")
-    diag_cost = float(np.sum(A.a.T * al))
-    r = maximal_cross_terms(al)
-    return diag_cost - 2.0 * float(np.sum(r))
-
-
 def psd_feasible_cross_terms(alpha: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
     """Scale cross terms down until the coupled submatrix is positive.
 
@@ -422,159 +409,110 @@ def psd_feasible_cross_terms(alpha: np.ndarray, r: np.ndarray) -> tuple[np.ndarr
     return t * r, t
 
 
-def _project_simplex_rows(mat: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    s = np.sort(mat, axis=1)[:, ::-1]
-    css = np.cumsum(s, axis=1) - 1.0
-    idx = np.arange(1, mat.shape[1] + 1)
-    cond = s - css / idx > 0.0
-    rho = cond.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(mat.shape[0]), rho] / (rho + 1.0)
-    return np.maximum(mat - theta[:, None], 0.0)
-
-
-def _probe_seeds(A: CoefficientMatrix, starts: int, seed: int) -> np.ndarray:
-    """Pattern seeds loading the zero-cost positions, then uniform draws."""
-    n = A.n
-    cost = A.a.T  # cost[i, k] multiplies alpha[i, k]
-    off = ~np.eye(n, dtype=bool)
-    seeds = []
-    for m in (2.0, 4.0, 8.0):
-        al = np.eye(n)
-        free = off & (cost <= 0.0)
-        al[free] = m
-        al[off & ~free] = 1.0 / m
-        seeds.append(al / al.sum())
-    seeds.append(np.full((n, n), 1.0 / (n * n)))
-    seeds = seeds[:starts]
-    for s in range(len(seeds), starts):
-        rng = np.random.default_rng((seed, s))
-        al = -np.log(rng.random((n, n)))
-        seeds.append(al / al.sum())
-    return np.array(seeds)
-
-
-_PROBE_EPS = 1e-14  # floor on alpha in the gradient's square-root ratios
-
-
 def _structured_floor(A: CoefficientMatrix) -> float:
     """Smallest eigenvalue of T, the n x n Z-matrix that decides the structured family.
 
     T_ii = a_ii and T_ij = -mu_ij with mu_ij = max(0, 1 - sqrt(a_ij a_ji)).
-    With x_i = sqrt(alpha_ii), AM-GM gives a_ji alpha_ij + a_ij alpha_ji
-    >= 2 sqrt(a_ij a_ji) sqrt(alpha_ij alpha_ji), so each pair adds at
-    least -2 mu_ij x_i x_j to structured_ppt_value, and
-    structured_ppt_value(A, alpha) >= x^T T x >= lambda_min(T) sum_i alpha_ii.
-    On the simplex the value is therefore at least min(0, lambda_min(T)).
-    Conversely, T has no positive off-diagonal entry, so a lambda_min
-    eigenvector x can be taken nonnegative, and the profile with
-    alpha_ii = x_i^2 and, on each pair with mu_ij > 0, alpha_ij alpha_ji
-    = x_i^2 x_j^2 in the ratio alpha_ij : alpha_ji = a_ij : a_ji (other
-    entries zero) turns both bounds into equalities, so its value is
-    lambda_min(T) |x|^2 (a zero a_ij or a_ji is approached as a limit).
-    So a structured witness exists iff lambda_min(T) < 0.
+    With maximal cross terms the pairing is Tr(rho C) = sum_{i,k} a_ki
+    alpha_ik - 2 sum_{i<j} min(sqrt(alpha_ii alpha_jj), sqrt(alpha_ij alpha_ji)).
+    By AM-GM each pair adds at least -2 mu_ij x_i x_j, x_i = sqrt(alpha_ii),
+    so Tr(rho C) >= x^T T x >= lambda_min(T) sum_i alpha_ii: with
+    lambda_min(T) >= 0 no structured state is a witness.  The bound is
+    attained by the profile of _witness_profile at lam = 0 (a zero a_ij
+    is approached as a limit), whose state is positive when every pair in
+    the support of its x has mu_ij > 0.
     """
     return float(np.linalg.eigvalsh(structured_matrix(A))[0])
 
 
-# Sums run through a sequential cumsum in pair order (diagonal gradient
-# entries: increasing partner index), so every float is rounded as in a
-# plain loop over the pairs; ndarray.sum is pairwise and would differ.
-def _structured_values(al: np.ndarray, cost: np.ndarray, I: np.ndarray, J: np.ndarray):
-    """structured_ppt_value of each profile in the stack ``al``."""
-    v = (al * cost).sum(axis=(1, 2))
-    m = np.minimum(np.sqrt(al[:, I, I] * al[:, J, J]), np.sqrt(al[:, I, J] * al[:, J, I]))
-    return np.concatenate([v[:, None], -2.0 * m], axis=1).cumsum(axis=1)[:, -1]
+def _shifted(a: np.ndarray, lam: float) -> np.ndarray:
+    """T_lam: the matrix T of the entries a_ij - lam."""
+    return structured_matrix(CoefficientMatrix(a.shape[0], a - lam))
 
 
-def _structured_gradients(al: np.ndarray, cost: np.ndarray, I: np.ndarray, J: np.ndarray):
-    """Gradient of structured_ppt_value at each profile, entries clamped to _PROBE_EPS.
+def _structured_root(a: np.ndarray, floor: float) -> float:
+    """The end of a bisection bracket on [floor, 0] where lambda_min(T_lam) < 0.
 
-    Each pair {i, j} differentiates the branch of its min that is
-    smaller at the clamped profile.  The value is convex, and AM-GM
-    (sqrt(xy) <= (s x + y / s) / 2 for every s > 0) makes the entries
-    the coefficients of a linear minorant of it, whichever branch each
-    pair is on, so min over k of g_k bounds the minimum over the
-    simplex from below.
+    Every entry of T_lam falls as lam grows, and its diagonal with slope
+    -1, so lambda_min(T_lam) falls with slope at most -1: from floor < 0
+    at lam = 0 it is at least 0 at lam = floor, and its root lies between.
     """
-    diag = np.arange(al.shape[1])
-    safe = np.maximum(al, _PROBE_EPS)
-    d = safe[:, diag, diag]
-    use_diag = np.sqrt(d[:, I] * d[:, J]) <= np.sqrt(safe[:, I, J] * safe[:, J, I])
-    diag_branch = np.zeros(al.shape, dtype=bool)  # pair {i, j} on its sqrt(al_ii al_jj) branch
-    diag_branch[:, I, J] = use_diag
-    diag_branch[:, J, I] = use_diag
-    cross_branch = ~diag_branch
-    cross_branch[:, diag, diag] = False
-    # each off-diagonal entry takes the term of its own pair only
-    g = cost - np.where(cross_branch, np.sqrt(safe.transpose(0, 2, 1) / safe), 0.0)
-    # g[i, i] takes sqrt(alpha_jj / alpha_ii) from every pair {i, j} on the diagonal branch
-    terms = np.where(diag_branch, np.sqrt(d[:, None, :] / d[:, :, None]), 0.0)
-    start = np.broadcast_to(cost[diag, diag], d.shape)[:, :, None]
-    g[:, diag, diag] = np.concatenate([start, -terms], axis=2).cumsum(axis=2)[:, :, -1]
-    return g
+    lo, hi = floor, 0.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if np.linalg.eigvalsh(_shifted(a, mid))[0] < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _witness_profile(a: np.ndarray, lam: float) -> tuple[np.ndarray, int | None]:
+    """Profile alpha from the Perron vector x of T_lam, and an index to drop or None.
+
+    alpha_ii = x_i^2 and, on each pair with mu_ij(lam) > 0,
+    alpha_ij = x_i x_j sqrt((a_ij - lam) / (a_ji - lam)), so that
+    Tr(rho C) - lam Tr(rho) = x^T T_lam x = lambda_min(T_lam) |x|^2 and the
+    maximal cross terms are x_i x_j.  A pair in the support of x with
+    mu_ij(lam) = 0 gets no cross term, so the (i,i) block is not x x^T;
+    the index returned is then the endpoint of such a pair with least x_i.
+    """
+    t = _shifted(a, lam)
+    x = np.abs(np.linalg.eigh(t)[1][:, 0])  # t is a Z-matrix: |v| is an eigenvector too
+    coupled = t < 0.0
+    alpha = np.where(coupled, np.outer(x, x) * np.sqrt((a - lam) / (a.T - lam)), 0.0)
+    np.fill_diagonal(alpha, x ** 2)
+    uncoupled = np.outer(x > 0.0, x > 0.0) & ~coupled
+    np.fill_diagonal(uncoupled, False)
+    if not uncoupled.any():
+        return alpha, None
+    return alpha, int(np.argmin(np.where(uncoupled.any(axis=1), x, np.inf)))
 
 
 def indecomposability_probe(
     A: CoefficientMatrix, cfg: SearchConfig = SearchConfig()
 ) -> PptWitnessCertificate | None:
-    """Minimize the structured pairing over diagonal profiles on the simplex.
+    """The structured PPT state of least normalized pairing, in closed form.
 
-    On success the witness state is assembled, its positivity and the
+    Tr(rho C) - lam Tr(rho) is the pairing of the entries a_ij - lam, so by
+    _structured_floor no structured state has a normalized value below the
+    root lam* of lambda_min(T_lam) < 0, and the profile of
+    _witness_profile at the bracket end of _structured_root reaches it with
+    an (i,i) block x x^T, positive with no shrink, unless an index must be
+    dropped.  The root is then found again on the remaining indices K: a
+    state on K (x) K is a witness for A too, since C restricted to it is
+    the block matrix of A[K, K].  The probe returns None once
+    lambda_min(T_0[K]) exceeds -violation_tolerance by more than its
+    rounding; with K all indices this is the entry check, and the family
+    then holds no witness.  On the constant cyclic maps (a, b, c),
+    lambda_min(T_0) = a - 2 max(0, 1 - sqrt(bc)), whose sign changes
+    exactly on the Cho-Kye-Lee decomposability boundary 4bc = (2 - a)^2,
+    a < 2.  The seed, the starts and the step settings are not read.
+
+    The witness state is then assembled, its positivity and the
     positivity of its blockwise transpose are verified (shrinking the
-    cross terms when the maximal choice overshoots the positive cone),
-    and the certificate stores the directly evaluated trace pairing.
+    cross terms if the maximal choice overshoots the positive cone), and
+    the certificate stores the directly evaluated trace pairing.
     Returns None when no verified witness below -violation_tolerance is
     found, which proves nothing.  A witness that fails its eigenvalue
     verification raises InternalInconsistencyError.
-
-    Early exit.  The probe first returns None when the smallest
-    eigenvalue of the n x n matrix T of _structured_floor exceeds
-    -violation_tolerance by more than the rounding of the objective and
-    of that eigenvalue.  The objective, structured_ppt_value, is at least
-    min(0, lambda_min(T)) on the simplex, so the full run would have
-    returned None too and the result is unchanged; when the full run
-    finds a witness, the objective is below -violation_tolerance there,
-    so lambda_min(T) is too and the exit cannot fire.  On the
-    constant cyclic maps (a, b, c), lambda_min(T) = a - 2 max(0,
-    1 - sqrt(bc)), whose sign changes exactly on the Cho-Kye-Lee
-    decomposability boundary 4bc = (2 - a)^2, a < 2.
     """
-    if _structured_floor(A) > -cfg.violation_tolerance + structured_rounding(A):
-        return None
     n = A.n
-
-    cost = A.a.T
-    alphas = _probe_seeds(A, cfg.starts, cfg.seed)
-    S = alphas.shape[0]
-    I, J = np.triu_indices(n, 1)
-
-    F = _structured_values(alphas, cost, I, J)
-    step = np.full(S, 0.1)
-    active = np.ones(S, dtype=bool)
-    flat = alphas.reshape(S, n * n)
-
-    for _ in range(cfg.max_iterations):
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
+    keep = np.arange(n)
+    sub = A
+    while True:
+        floor = _structured_floor(sub)
+        if floor > -cfg.violation_tolerance + structured_rounding(A):
+            return None
+        lam = _structured_root(sub.a, floor)
+        if lam == 0.0:  # lambda_min(T_lam) >= 0 for every lam < 0 tried: no state pairs below 0
+            return None
+        sub_alpha, drop = _witness_profile(sub.a, lam)
+        if drop is None:
             break
-        cur = flat[rows]
-        grad = _structured_gradients(cur.reshape(-1, n, n), cost, I, J).reshape(-1, n * n)
-        proposal = _project_simplex_rows(cur - step[rows, None] * grad)
-        newF = _structured_values(proposal.reshape(-1, n, n), cost, I, J)
-        improved = newF < F[rows]
-        gain = F[rows] - newF
-        won = rows[improved]
-        flat[won] = proposal[improved]
-        F[won] = newF[improved]
-        step[rows] = np.where(improved, step[rows] * _GROW, step[rows] * _SHRINK)
-        active[rows[improved & (gain < cfg.step_tolerance)]] = False
-        active &= step > _STEP_FLOOR
-
-    best = int(np.argmin(F))
-    alpha = flat[best].reshape(n, n)
-    if F[best] >= -cfg.violation_tolerance:
-        return None
+        keep = np.delete(keep, drop)
+        sub = CoefficientMatrix(keep.size, A.a[np.ix_(keep, keep)])
+    alpha = np.zeros((n, n))
+    alpha[np.ix_(keep, keep)] = sub_alpha
 
     r, _ = psd_feasible_cross_terms(alpha, maximal_cross_terms(alpha))
 

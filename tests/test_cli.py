@@ -235,8 +235,9 @@ class TestReproduce:
         assert "witness normalized value" in doc["headline"]
 
     def test_unknown_name_rejected(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["reproduce", "nonsense"])
+        assert exc.value.code == 1
 
 
 class TestErrors:
@@ -339,8 +340,10 @@ class TestErrors:
             (["--tol", "0"], "error: tolerance must be finite and positive"),
             (["--starts", "0"], f"error: starts must be between 1 and {MAX_STARTS}"),
             (["--starts", str(MAX_STARTS + 1)], f"error: starts must be between 1 and {MAX_STARTS}"),
+            (["--seed", "-5"], "error: seed must be nonnegative"),
         ],
-        ids=["tol-nan", "tol-inf", "tol-minus-inf", "tol-zero", "starts-zero", "starts-above-cap"],
+        ids=["tol-nan", "tol-inf", "tol-minus-inf", "tol-zero", "starts-zero", "starts-above-cap",
+             "seed-negative"],
     )
     def test_bad_settings_refused_before_any_work(
         self, tmp_path, capsys, monkeypatch, command, flags, message
@@ -357,6 +360,33 @@ class TestErrors:
         assert main([command, *target, *flags]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(message) and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze"],
+            ["analyze", "-i", "a.json", "--tol", "abc"],
+            ["analyze", "-i", "a.json", "--seed", "1.5"],
+            ["reproduce", "nope"],
+            ["analyze", "-i", "a.json", "--format", "yaml"],
+            [],
+        ],
+        ids=["no-input", "tol-not-a-number", "seed-not-an-integer", "unknown-name", "bad-format",
+             "no-command"],
+    )
+    def test_usage_errors_exit_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: choilike") and "error: " in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["analyze", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
     def test_failed_witness_verification_exits_two(self, tmp_path, capsys, monkeypatch):
         import choilike.search as search
