@@ -715,6 +715,32 @@ WITNESS_MAPS = (
 )
 
 
+class TestGradientBound:
+    """The probe's lower bound on the structured family, lambda_min(T[K])."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [CHOI.a]
+        + [_generalized_choi(n) for n in range(4, 9)]
+        + [kye_matrix(KyeParams(a, 2.0 - a, 2.0 - a, 2.0 - a)).a for a in KYE_BOUNDARY],
+        ids=["choi"] + [f"gchoi-{n}" for n in range(4, 9)] + [f"kye-{a}" for a in KYE_BOUNDARY],
+    )
+    def test_never_fires_when_a_witness_exists(self, raw, monkeypatch):
+        # every bound the probe computes, on A and on each pruned A[K, K],
+        # stays below -violation_tolerance, so its early exit never fires
+        bounds = []
+
+        def recording(sub):
+            floor = _structured_floor(sub)
+            bounds.append(floor)
+            return floor
+
+        monkeypatch.setattr(search, "_structured_floor", recording)
+        a = validate_coefficients(raw)
+        assert indecomposability_probe(a, CFG) is not None
+        assert bounds and max(bounds) <= -CFG.violation_tolerance
+
+
 class TestStructuredFloor:
     """lambda_min(T) decides whether the structured family holds a witness."""
 
