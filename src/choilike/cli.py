@@ -49,7 +49,7 @@ from .search import (
 
 # linalg is sized for block matrices of side n^2 with n <= 16
 MAX_SIDE = 16
-# each search holds and steps all of its starts at once
+# each step of the violation search solves one stacked n x n eigenproblem per moving start
 MAX_STARTS = 4096
 
 

@@ -11,7 +11,8 @@ Two one-sided certificate families are produced here:
   (j,j) positions, whose pairing against the block matrix of the map is
   negative.
 
-The violation search is multi-start projected gradient descent.
+The violation search is multi-start projected gradient descent over q,
+with the best p for each q in closed form, an n x n least eigenvector.
 Per-start randomness comes from counter-based streams derived from
 (seed, start index) and the final answer is the lexicographic minimum
 over (value, start index), so results are bit-identical for a fixed
@@ -202,8 +203,8 @@ def gap_decomposition(A: CoefficientMatrix, p, q, refactored: bool = False):
     return terms, float(sum(terms))
 
 
-def _pair_seeds(A: CoefficientMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Closed-form two-index starting points, where defined."""
+def _pair_seeds(A: CoefficientMatrix) -> list[np.ndarray]:
+    """Closed-form two-index starting points q, where defined."""
     a = A.a
     n = A.n
     seeds = []
@@ -213,13 +214,10 @@ def _pair_seeds(A: CoefficientMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
                 continue
             if a[j, i] <= 0.0 or a[j, j] <= 0.0 or a[i, i] <= 0.0:
                 continue
-            p = np.zeros(n)
             q = np.zeros(n)
-            p[i] = 1.0
-            p[j] = (a[i, j] * a[i, i] / (a[j, i] * a[j, j])) ** 0.25
             q[j] = 1.0
             q[i] = (a[i, j] * a[j, j] / (a[j, i] * a[i, i])) ** 0.25
-            seeds.append((p / np.linalg.norm(p), q / np.linalg.norm(q)))
+            seeds.append(q / np.linalg.norm(q))
     return seeds
 
 
@@ -251,14 +249,35 @@ def _descent_settled(G, active, last_gain, remaining: int, tolerance: float) -> 
     return not np.any(moving)
 
 
+def _eliminate_p(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lambda_min(M(q)), p = |v_min| and the gradient in q, for each row q of Q.
+
+    M(q) = diag(w q^2) - q q^T with w = A + I; see find_positivity_violation.
+    """
+    m = -Q[:, :, None] * Q[:, None, :]
+    diag = np.arange(Q.shape[1])
+    m[:, diag, diag] += (Q ** 2) @ w.T
+    values, vectors = np.linalg.eigh(m)
+    P = np.abs(vectors[:, :, 0])
+    grad = 2.0 * Q * ((P ** 2) @ w) - 2.0 * (P * Q).sum(axis=1, keepdims=True) * P
+    return values[:, 0], P, grad
+
+
 def find_positivity_violation(
     A: CoefficientMatrix, cfg: SearchConfig = SearchConfig()
 ) -> ViolationCertificate | None:
     """Multi-start projected gradient search for a negative positivity gap.
 
-    Starts are the closed-form pair-supported points plus uniform simplex
-    samples; the projection clamps negatives and renormalizes.  Returns
-    the best certificate when the optimum is below -violation_tolerance,
+    For fixed q the gap is p^T M(q) p with M(q) = diag((A + I) q^2) - q q^T.
+    M(q) is a Z-matrix, so for an eigenvector v of lambda_min(M(q)),
+    |v|^T M |v| <= v^T M v: the least gap over nonnegative unit p is
+    lambda_min(M(q)), attained at p = |v|.  The descent therefore runs over
+    q alone, each step solving the stacked eigenproblems of the active
+    starts, and by the envelope theorem the gradient of lambda_min(M(q))
+    is the gradient of the gap in q at that p.  Starts are the closed-form
+    pair-supported points plus uniform simplex samples; the projection
+    clamps negatives and renormalizes.  Returns the best certificate, unit
+    p, q >= 0, when the gap evaluated there is below -violation_tolerance,
     otherwise None (which proves nothing).
 
     Early exit.  The search first returns None when decomposition_check
@@ -285,24 +304,12 @@ def find_positivity_violation(
     w = A.a + np.eye(n)
     starts = cfg.starts
 
-    seeds = _pair_seeds(A)[:starts]
-    ps, qs = [], []
-    for p, q in seeds:
-        ps.append(p)
-        qs.append(q)
-    for s in range(len(seeds), starts):
-        rng = np.random.default_rng((cfg.seed, s))
-        p = -np.log(rng.random(n))
-        q = -np.log(rng.random(n))
-        ps.append(p / np.linalg.norm(p))
+    qs = _pair_seeds(A)[:starts]
+    for s in range(len(qs), starts):
+        q = -np.log(np.random.default_rng((cfg.seed, s)).random(n))
         qs.append(q / np.linalg.norm(q))
-    P = np.array(ps)
     Q = np.array(qs)
-
-    def values(Pm, Qm):
-        return ((Pm ** 2) @ w * (Qm ** 2)).sum(axis=1) - ((Pm * Qm).sum(axis=1)) ** 2
-
-    G = values(P, Q)
+    G, P, grad = _eliminate_p(w, Q)
     step = np.full(starts, 0.25)
     active = np.ones(starts, dtype=bool)
     last_gain = np.full(starts, np.inf)  # gain of each start's latest accepted step
@@ -310,20 +317,17 @@ def find_positivity_violation(
     for it in range(cfg.max_iterations):
         if not np.any(active):
             break
-        dots = (P * Q).sum(axis=1, keepdims=True)
-        grad_p = 2.0 * P * ((Q ** 2) @ w.T) - 2.0 * dots * Q
-        grad_q = 2.0 * Q * ((P ** 2) @ w) - 2.0 * dots * P
-        newP = _project_unit_nonneg(P - step[:, None] * grad_p, P)
-        newQ = _project_unit_nonneg(Q - step[:, None] * grad_q, Q)
-        newG = values(newP, newQ)
-        improved = active & (newG < G)
-        P = np.where(improved[:, None], newP, P)
-        Q = np.where(improved[:, None], newQ, Q)
-        last_gain = np.where(improved, G - newG, last_gain)
-        G = np.where(improved, newG, G)
-        step = np.where(improved, step * _GROW, np.where(active, step * _SHRINK, step))
-        active = active & ~(improved & (last_gain < cfg.step_tolerance))
-        active = active & (step > _STEP_FLOOR)
+        run = np.flatnonzero(active)
+        newQ = _project_unit_nonneg(Q[run] - step[run, None] * grad[run], Q[run])
+        newG, newP, newGrad = _eliminate_p(w, newQ)
+        improved = newG < G[run]
+        won = run[improved]
+        Q[won], P[won], grad[won] = newQ[improved], newP[improved], newGrad[improved]
+        last_gain[won] = G[won] - newG[improved]
+        G[won] = newG[improved]
+        step[run] *= np.where(improved, _GROW, _SHRINK)
+        active[won[last_gain[won] < cfg.step_tolerance]] = False
+        active &= step > _STEP_FLOOR
         remaining = cfg.max_iterations - it
         if _descent_settled(G, active, last_gain, remaining, cfg.violation_tolerance):
             break

@@ -331,14 +331,7 @@ class TestCertifiedExit:
 
     def test_choi_map_still_searches(self, monkeypatch):
         # positive, but T = 2 I - J is indefinite, so no certificate ends the search
-        calls = []
-        project = search._project_unit_nonneg
-
-        def counting(mat, fallback):
-            calls.append(1)
-            return project(mat, fallback)
-
-        monkeypatch.setattr(search, "_project_unit_nonneg", counting)
+        calls = _count_projections(monkeypatch)
         assert not decomposition_check(CHOI)[0]
         assert find_positivity_violation(CHOI, CFG) is None
         assert len(calls) > 0
@@ -347,6 +340,19 @@ class TestCertifiedExit:
 def _full_descent(monkeypatch):
     """Switch the violation search's early stop off: every start runs to its own stop."""
     monkeypatch.setattr(search, "_descent_settled", lambda *_: False)
+
+
+def _count_projections(monkeypatch):
+    """Record each call of the search's projection, one per descent step."""
+    calls = []
+    project = search._project_unit_nonneg
+
+    def counting(mat, fallback):
+        calls.append(1)
+        return project(mat, fallback)
+
+    monkeypatch.setattr(search, "_project_unit_nonneg", counting)
+    return calls
 
 
 class TestEarlyStop:
@@ -372,26 +378,24 @@ class TestEarlyStop:
         assert not self._settled([-0.5, 0.2], [False, True], [0.0, np.inf])
 
     def test_creeping_start_no_longer_runs_to_max_iterations(self, monkeypatch):
-        # at (1, 1/2, 0) one start creeps toward a zero-gap saddle for all
-        # 2000 iterations while the best converges to -1/6 within 40
-        a = constant_ckl_matrix(CklParams(1.0, 0.5, 0.0))
-        project = search._project_unit_nonneg
-        for early, calls_max in ((True, 200), (False, None)):
-            calls = []
-
-            def counting(mat, fallback):
-                calls.append(1)
-                return project(mat, fallback)
-
-            monkeypatch.setattr(search, "_project_unit_nonneg", counting)
-            if not early:
-                _full_descent(monkeypatch)
-            cert = find_positivity_violation(a, CFG)
-            assert cert.gap == pytest.approx(-1 / 6, abs=1e-12)
-            if early:
-                assert len(calls) < calls_max
-            else:
-                assert len(calls) == 2 * CFG.max_iterations
+        # at (1, 1/2, 0) the search reaches the least gap -1/6 in a few dozen steps
+        calls = _count_projections(monkeypatch)
+        cert = find_positivity_violation(constant_ckl_matrix(CklParams(1.0, 0.5, 0.0)), CFG)
+        assert cert.gap == pytest.approx(-1 / 6, abs=1e-12)
+        assert len(calls) < 200
+        # here the least gap -0.01864 lies on the face q_3 = 0, which some
+        # starts approach so slowly that they are still moving at the cap
+        a = validate_coefficients(
+            [[0.403, 0.081, 0.694], [0.966, 1.1, 0.686], [0.513, 1.294, 1.503]]
+        )
+        calls.clear()
+        early = find_positivity_violation(a, CFG)
+        assert len(calls) < 400
+        _full_descent(monkeypatch)
+        calls.clear()
+        full = find_positivity_violation(a, CFG)
+        assert len(calls) == CFG.max_iterations  # one projection per step
+        assert early.gap == pytest.approx(full.gap, rel=1e-8)
 
     def test_waits_for_a_start_still_descending(self, monkeypatch):
         # when the best start converges here another start is still well
@@ -423,6 +427,79 @@ class TestEarlyStop:
             assert (e is None) == (f is None), a.a.tolist()
             if f is not None:
                 assert f.gap <= e.gap <= f.gap * (1 - 1e-5), a.a.tolist()
+
+
+def _gap_matrix(w, q):
+    """M(q) = diag((A + I) q^2) - q q^T, whose quadratic form in p is the gap."""
+    return np.diag(w @ q ** 2) - np.outer(q, q)
+
+
+def _sparse_pairs(count=2000):
+    """Seeded (A, unit q >= 0) pairs, both with about 30 % zero entries."""
+    rng = np.random.default_rng(2718)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        raw = 2.0 * rng.random((n, n)) * (rng.random((n, n)) > 0.3)
+        q = rng.random(n) * (rng.random(n) > 0.3)
+        q[rng.integers(n)] += 0.1
+        yield validate_coefficients(raw), q / np.linalg.norm(q)
+
+
+class TestExactP:
+    """For fixed q the violation search takes the least gap over p in closed form."""
+
+    def test_least_eigenvalue_is_the_least_gap(self):
+        rng = np.random.default_rng(31)
+        for a, q in _sparse_pairs():
+            w = a.a + np.eye(a.n)
+            lam, p, _ = search._eliminate_p(w, q[None])
+            lam, p = lam[0], p[0]
+            m = _gap_matrix(w, q)
+            scale = max(1.0, float(np.abs(m).max()))
+            assert np.min(p) >= 0.0 and abs(np.linalg.norm(p) - 1.0) < 1e-12
+            assert abs(positivity_gap(a, p, q) - lam) <= 1e-12 * scale
+            assert np.linalg.norm(m @ p - lam * p) <= 1e-12 * scale  # |v_min| is an eigenvector
+            # no nonnegative p does better: random ones, sparse ones and ones near |v_min|
+            samples = np.vstack(
+                [
+                    rng.random((4, a.n)),
+                    rng.random((4, a.n)) * (rng.random((4, a.n)) > 0.5),
+                    np.maximum(p + 0.01 * rng.standard_normal((4, a.n)), 0.0),
+                ]
+            )
+            for s in samples[np.linalg.norm(samples, axis=1) > 0.0]:
+                s = s / np.linalg.norm(s)
+                assert positivity_gap(a, s, q) >= lam - 1e-12 * scale
+
+    def test_envelope_gradient_matches_central_differences(self):
+        h = 1e-6
+        checked = 0
+        for a, q in _sparse_pairs():
+            w = a.a + np.eye(a.n)
+            values = np.linalg.eigvalsh(_gap_matrix(w, q))
+            scale = max(1.0, float(np.abs(_gap_matrix(w, q)).max()))
+            if values[1] - values[0] < 1e-2 * scale:
+                continue  # lambda_min is not simple enough to differentiate numerically
+            _, _, grad = search._eliminate_p(w, q[None])
+            step = h * np.eye(a.n)
+            central = [
+                (np.linalg.eigvalsh(_gap_matrix(w, q + e))[0]
+                 - np.linalg.eigvalsh(_gap_matrix(w, q - e))[0]) / (2 * h)
+                for e in step
+            ]
+            np.testing.assert_allclose(grad[0], central, rtol=0, atol=1e-7 * scale)
+            checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_generalized_choi_search_ends_quickly(self, n, monkeypatch):
+        # positive and not certified by T, so no early exit or early stop
+        # applies: every start must converge by its own stop rule
+        a = validate_coefficients(_generalized_choi(n))
+        assert not decomposition_check(a)[0]
+        calls = _count_projections(monkeypatch)
+        assert find_positivity_violation(a, CFG) is None
+        assert len(calls) < 300
 
 
 class TestVerifyCounterexample:
