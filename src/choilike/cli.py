@@ -27,9 +27,10 @@ from .criteria import (
     HOLDS,
     ConditionReport,
     InternalInconsistencyError,
-    Verdict,
+    affirmative,
     boundary_proposition,
     full_report,
+    summarize,
 )
 from .linalg import outer_product, require_hermitian
 from .maps import (
@@ -131,33 +132,11 @@ def read_matrix_file(path: str) -> tuple[CoefficientMatrix, np.ndarray | None]:
     return a, x
 
 
-def _verdict_entry(name: str, v: Verdict) -> dict:
-    return {"name": name, "status": v.status, "margin": v.margin, "detail": v.detail}
-
-
 def _conditions_list(report: ConditionReport) -> list[dict]:
-    out = [
-        _verdict_entry("cp", report.cp),
-        _verdict_entry("ckl_positive", report.ckl_positive),
-        _verdict_entry("ckl_indecomposable", report.ckl_indecomposable),
-        _verdict_entry("kye", report.kye),
-        _verdict_entry("average_necessary", report.average_necessary),
+    return [
+        {"name": name, "status": v.status, "margin": v.margin, "detail": v.detail}
+        for name, v in report.rows
     ]
-    for (i, j), v in report.pairwise_necessary:
-        out.append(_verdict_entry(f"pairwise_necessary_{i}_{j}", v))
-    for (i, j), v in report.pairwise_sufficient:
-        out.append(_verdict_entry(f"pairwise_sufficient_{i}_{j}", v))
-    out.extend(
-        [
-            _verdict_entry("c3_mean", report.c3_mean),
-            _verdict_entry("cyclic_necessary", report.cyclic_necessary),
-            _verdict_entry("b_only_necessary", report.b_only_necessary),
-            _verdict_entry("scaling_sufficient", report.scaling_sufficient),
-            _verdict_entry("boundary_proposition", report.boundary_proposition),
-            _verdict_entry("structured_decomposition", report.structured_decomposition),
-        ]
-    )
-    return out
 
 
 def _violation_dict(cert: ViolationCertificate) -> dict:
@@ -253,44 +232,31 @@ def emit(doc: dict, fmt: str) -> None:
         sys.stdout.write(render_text(doc))
 
 
-def _analysis_summary(
-    report: ConditionReport,
-    violation: ViolationCertificate | None,
-) -> tuple[str, ...]:
-    flags = list(report.summary)
-    if violation is not None:
-        if "positive_proven" in flags or "cp_proven" in flags:
-            raise InternalInconsistencyError(
-                "positivity was proven analytically but a violation certificate was found"
-            )
-        flags = ["not_positive_proven"]
-    return tuple(flags)
-
-
 def run_analysis(
     A: CoefficientMatrix,
     request: AnalysisRequest,
     x: np.ndarray | None = None,
 ) -> dict:
-    """Full criteria report plus certificate searches."""
+    """Full criteria report plus certificate searches.
+
+    A certificate joins a copy of the report's proofs, and the flags come
+    from the same ``summarize`` as the report's own.
+    """
     report = full_report(A, band=request.tolerance)
     cfg = request.search_config()
+    proofs = {prop: list(names) for prop, names in report.proofs.items()}
     # an exactly verified decomposition leaves no violation to find
     violation = None
-    if report.structured_decomposition.status != HOLDS:
+    if report.verdict("structured_decomposition").status != HOLDS:
         violation = find_positivity_violation(A, cfg)
-    summary = _analysis_summary(report, violation)
     witness = None
-    if "not_positive_proven" not in summary:
+    if violation is not None:
+        proofs["not_positive"].append("violation_certificate")
+    elif not proofs["not_positive"]:
         witness = indecomposability_probe(A, cfg)
         if witness is not None:
-            if "decomposable_proven" in summary:
-                raise InternalInconsistencyError(
-                    "decomposability was proven analytically but a witness was found"
-                )
-            # "inconclusive" refers to positivity and may stay alongside
-            if "indecomposable_proven" not in summary:
-                summary = summary + ("indecomposable_proven",)
+            proofs["indecomposable"].append("ppt_witness")
+    summary = summarize(proofs, affirmative(report.verdict("cp")))
     extra = None
     if x is not None:
         chk = verify_counterexample(A, x)
@@ -332,16 +298,18 @@ def counterexample_instance() -> tuple[CoefficientMatrix, np.ndarray]:
     return A, outer_product(zeta)
 
 
+def _witness_headline(doc: dict) -> str:
+    w = doc.get("ppt_witness")
+    if w is None:
+        return "no witness found"
+    return "indecomposability witness normalized value = %.9f" % w["normalized_value"]
+
+
 def cmd_reproduce(name: str, request: AnalysisRequest, a_params: list[float] | None) -> dict:
     if name == "choi":
         A = validate_coefficients([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
         doc = run_analysis(A, request)
-        w = doc.get("ppt_witness")
-        doc["headline"] = (
-            "indecomposability witness normalized value = %.9f" % w["normalized_value"]
-            if w
-            else "no witness found"
-        )
+        doc["headline"] = _witness_headline(doc)
     elif name == "example5":
         A, x = counterexample_instance()
         doc = run_analysis(A, request, x)
@@ -369,12 +337,7 @@ def cmd_reproduce(name: str, request: AnalysisRequest, a_params: list[float] | N
         c = 2.0 - a
         A = kye_matrix(KyeParams(a, c, c, c))
         doc = run_analysis(A, request)
-        w = doc.get("ppt_witness")
-        doc["headline"] = (
-            "indecomposability witness normalized value = %.9f" % w["normalized_value"]
-            if w
-            else "no witness found"
-        )
+        doc["headline"] = _witness_headline(doc)
     else:
         raise ValueError(f"unknown reproduction name {name!r}")
     return doc
@@ -417,25 +380,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        request = AnalysisRequest(
+            matrix_path=args.input if args.command != "reproduce" else "",
+            tolerance=args.tol,
+            seed=args.seed,
+            starts=args.starts,
+            output_format=args.format,
+        )
         if args.command == "reproduce":
-            request = AnalysisRequest(
-                matrix_path="",
-                tolerance=args.tol,
-                seed=args.seed,
-                starts=args.starts,
-                output_format=args.format,
-            )
             if args.name == "boundary" and args.a is not None and len(args.a) != 3:
                 raise ValueError("boundary takes three diagonal values via --a")
             doc = cmd_reproduce(args.name, request, args.a)
         else:
-            request = AnalysisRequest(
-                matrix_path=args.input,
-                tolerance=args.tol,
-                seed=args.seed,
-                starts=args.starts,
-                output_format=args.format,
-            )
             runner = {"analyze": cmd_analyze, "search": cmd_search, "probe": cmd_probe}
             doc = runner[args.command](request)
     except InternalInconsistencyError as exc:

@@ -6,12 +6,18 @@ maps in this family sit exactly on boundaries.  Margins inside a small
 band around zero are reported as "marginal"; summary flags are then
 derived boundary-inclusively for the conditions whose boundary belongs
 to the satisfied side, and never from marginal noise on the other side.
+
+A criterion can prove positivity, refute it, prove decomposability or
+prove indecomposability.  ``full_report`` runs them all into one table
+of ``(name, Verdict)`` rows and records which rows prove what;
+``summarize`` turns those proofs, together with any search
+certificates, into the summary flags and raises on a contradiction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -426,75 +432,108 @@ def boundary_proposition(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND
     return make_verdict(d_formula, band, detail)
 
 
+def summarize(proofs: dict[str, list[str]], cp: bool) -> tuple[str, ...]:
+    """Summary flags from the names that prove each property.
+
+    ``proofs`` maps "positive", "not_positive", "decomposable" and
+    "indecomposable" to the names of the criteria or certificates that
+    prove each; ``cp`` says whether complete positivity was proven (its
+    name is then among the positivity and decomposability proofs too).
+    A property proven together with its negation means two theorems
+    disagree (a bug) and raises InternalInconsistencyError.  When
+    positivity is refuted, "not_positive_proven" is the only flag;
+    otherwise "inconclusive" means positivity was not proven, and it may
+    stand beside "indecomposable_proven" when a witness proves that.
+    """
+    if proofs["positive"] and proofs["not_positive"]:
+        raise InternalInconsistencyError(
+            f"positivity proven by {proofs['positive']} but refuted by {proofs['not_positive']}"
+        )
+    if proofs["indecomposable"] and proofs["decomposable"]:
+        raise InternalInconsistencyError(
+            f"indecomposability proven by {proofs['indecomposable']} "
+            f"but decomposability by {proofs['decomposable']}"
+        )
+    if proofs["not_positive"]:
+        return ("not_positive_proven",)
+    flags = ["cp_proven"] if cp else []
+    flags.append("positive_proven" if proofs["positive"] else "inconclusive")
+    if proofs["indecomposable"]:
+        flags.append("indecomposable_proven")
+    if proofs["decomposable"]:
+        flags.append("decomposable_proven")
+    return tuple(flags)
+
+
 @dataclass(frozen=True)
 class ConditionReport:
-    """Aggregated verdicts of every applicable criterion plus summary flags.
+    """The table of criterion verdicts, what they prove, and the summary flags.
 
-    Summary flags: cp_proven implies positive_proven and
-    decomposable_proven; not_positive_proven excludes all positive-side
-    flags; "inconclusive" means positivity was neither proven nor
-    refuted by the analytic criteria.
+    ``rows`` holds one ``(name, Verdict)`` per criterion, one per index
+    pair for the pairwise bounds, in report order.  ``proofs`` maps
+    "positive", "not_positive", "decomposable" and "indecomposable" to
+    the names of the rows that prove each; the pairwise sufficient
+    bounds prove only all together, under the name
+    "pairwise_sufficient".  ``summary`` is ``summarize(proofs, cp)``.
     """
 
     form: FormClass
-    cp: Verdict
-    ckl_positive: Verdict
-    ckl_indecomposable: Verdict
-    kye: Verdict
-    average_necessary: Verdict
-    pairwise_necessary: list = field(default_factory=list)
-    pairwise_sufficient: list = field(default_factory=list)
-    c3_mean: Verdict = not_applicable()
-    cyclic_necessary: Verdict = not_applicable()
-    b_only_necessary: Verdict = not_applicable()
-    scaling_sufficient: Verdict = not_applicable()
-    boundary_proposition: Verdict = not_applicable()
-    structured_decomposition: Verdict = not_applicable()
-    summary: tuple[str, ...] = ()
+    rows: tuple[tuple[str, Verdict], ...]
+    proofs: dict[str, list[str]]
+    summary: tuple[str, ...]
+
+    def verdict(self, name: str) -> Verdict:
+        """The verdict of the row called ``name``; KeyError if there is none."""
+        for row_name, v in self.rows:
+            if row_name == name:
+                return v
+        raise KeyError(name)
 
 
 def full_report(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> ConditionReport:
-    """Run every applicable criterion and reconcile the summary flags.
+    """Run every criterion in report order and reconcile the summary flags.
 
-    Flags are only asserted by non-marginal verdicts (or, for boundary-
+    Each criterion adds its rows to one table and names what it proves.
+    Proofs come only from non-marginal verdicts (or, for boundary-
     inclusive conditions, marginal verdicts with nonnegative margin), so
-    the provably-positive and provably-not-positive flag sets can never
-    both fire unless an implementation bug makes two theorems disagree,
-    which raises InternalInconsistencyError.
+    positivity or decomposability is proven together with its negation
+    only when an implementation bug makes two theorems disagree, which
+    ``summarize`` raises as InternalInconsistencyError.
     """
+    rows: list[tuple[str, Verdict]] = []
+    proofs: dict[str, list[str]] = {
+        "positive": [], "not_positive": [], "decomposable": [], "indecomposable": []
+    }
+
+    def add(name: str, verdict: Verdict, holds=(), fails=()) -> None:
+        """Append a row that proves ``holds`` when affirmative and ``fails`` when refuted."""
+        rows.append((name, verdict))
+        proven = holds if affirmative(verdict) else fails if refuted(verdict) else ()
+        for prop in proven:
+            proofs[prop].append(name)
+
     form = classify_form(A)
     _, cp_slack = cp_check(A, tol=band)
     cp_verdict = make_verdict(
         cp_slack, band, "Schur slack 1 - sum_i 1/(1 + a_ii) of the coupled submatrix"
     )
+    add("cp", cp_verdict, holds=("positive", "decomposable"))
 
-    positive_reasons: list[str] = []
-    not_positive_reasons: list[str] = []
-    indecomposable_reasons: list[str] = []
-    decomposable_reasons: list[str] = []
-
-    if affirmative(cp_verdict):
-        positive_reasons.append("cp")
-        decomposable_reasons.append("cp")
-
-    ckl_pos = not_applicable("constant cyclic pattern not matched")
-    ckl_indec = not_applicable("constant cyclic pattern not matched")
+    ckl_pos = ckl_indec = not_applicable("constant cyclic pattern not matched")
     if form.tag == "constant_ckl":
         p = CklParams(form.parameters["a"], form.parameters["b"], form.parameters["c"])
         ckl_pos = ckl_is_positive(p, band)
         ckl_indec = ckl_is_indecomposable(p, band)
-        if affirmative(ckl_pos):
-            positive_reasons.append("ckl_positive")
-        elif refuted(ckl_pos):
-            not_positive_reasons.append("ckl_positive")
-        if ckl_indec.status == HOLDS:
-            indecomposable_reasons.append("ckl_indecomposable")
-        elif ckl_indec.status == FAILS or (
-            ckl_indec.status == MARGINAL and ckl_indec.margin is not None and ckl_indec.margin <= 0
-        ):
-            decomposable_reasons.append("ckl_indecomposable")
+    add("ckl_positive", ckl_pos, holds=("positive",), fails=("not_positive",))
+    add("ckl_indecomposable", ckl_indec)
+    # the condition is strict, so its marginal band proves decomposability at margin <= 0
+    if ckl_indec.status == HOLDS:
+        proofs["indecomposable"].append("ckl_indecomposable")
+    elif ckl_indec.margin is not None and ckl_indec.margin <= 0:
+        proofs["decomposable"].append("ckl_indecomposable")
 
     kye_verdict = not_applicable("zero-b pattern not matched")
+    kye_holds, kye_fails = (), ()
     if A.n == 3 and matches_kye_form(A):
         c = A.c_cyclic
         k = KyeParams(float(A.a_diag[0]), float(c[0]), float(c[1]), float(c[2]))
@@ -502,43 +541,23 @@ def full_report(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Cond
         # kye_check needs a < 2 strictly; its marginal a = 2 edge is the
         # completely positive (decomposable) boundary, where it proves nothing
         if k.a < 2.0 - band:
-            if affirmative(kye_verdict):
-                positive_reasons.append("kye")
-                indecomposable_reasons.append("kye")
-            elif refuted(kye_verdict):
-                not_positive_reasons.append("kye")
+            kye_holds, kye_fails = ("positive", "indecomposable"), ("not_positive",)
+    add("kye", kye_verdict, kye_holds, kye_fails)
 
-    avg_verdict = average_necessary(A, band)
-    if refuted(avg_verdict):
-        not_positive_reasons.append("average_necessary")
-
-    pnec = pairwise_necessary(A, band)
-    for pair, v in pnec:
-        if refuted(v):
-            not_positive_reasons.append(f"pairwise_necessary{pair}")
-
+    add("average_necessary", average_necessary(A, band), fails=("not_positive",))
+    for (i, j), v in pairwise_necessary(A, band):
+        add(f"pairwise_necessary_{i}_{j}", v, fails=("not_positive",))
     psuf = pairwise_sufficient(A, band)
+    for (i, j), v in psuf:
+        add(f"pairwise_sufficient_{i}_{j}", v)
     if psuf and all(affirmative(v) for _, v in psuf):
-        positive_reasons.append("pairwise_sufficient")
-        decomposable_reasons.append("pairwise_sufficient")
-
-    c3_verdict = c3_mean(A, band)
-
-    cyc_verdict = cyclic_necessary(A, band)
-    if refuted(cyc_verdict):
-        not_positive_reasons.append("cyclic_necessary")
-
-    bonly_verdict = b_only_necessary(A, band)
-    if refuted(bonly_verdict):
-        not_positive_reasons.append("b_only_necessary")
-
-    scaling_verdict = scaling_sufficient_search(A, band)
-    if affirmative(scaling_verdict):
-        positive_reasons.append("scaling_sufficient")
-
-    boundary_verdict = boundary_proposition(A, band)
-    if refuted(boundary_verdict):
-        not_positive_reasons.append("boundary_proposition")
+        proofs["positive"].append("pairwise_sufficient")
+        proofs["decomposable"].append("pairwise_sufficient")
+    add("c3_mean", c3_mean(A, band))
+    add("cyclic_necessary", cyclic_necessary(A, band), fails=("not_positive",))
+    add("b_only_necessary", b_only_necessary(A, band), fails=("not_positive",))
+    add("scaling_sufficient", scaling_sufficient_search(A, band), holds=("positive",))
+    add("boundary_proposition", boundary_proposition(A, band), fails=("not_positive",))
 
     # an exactly verified decomposition; its failure refutes nothing
     verified, floor = decomposition_check(A)
@@ -548,49 +567,6 @@ def full_report(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Cond
         "lambda_min(T), T_ii = a_ii, T_ij = -max(0, 1 - sqrt(a_ij a_ji)); "
         "holds when T decomposes the map, checked in exact rationals",
     )
-    if verified:
-        positive_reasons.append("structured_decomposition")
-        decomposable_reasons.append("structured_decomposition")
+    add("structured_decomposition", structured_verdict, holds=("positive", "decomposable"))
 
-    if positive_reasons and not_positive_reasons:
-        raise InternalInconsistencyError(
-            f"positivity proven by {positive_reasons} but refuted by {not_positive_reasons}"
-        )
-    if indecomposable_reasons and decomposable_reasons:
-        raise InternalInconsistencyError(
-            f"indecomposability proven by {indecomposable_reasons} "
-            f"but decomposability by {decomposable_reasons}"
-        )
-
-    flags: list[str] = []
-    if not_positive_reasons:
-        flags.append("not_positive_proven")
-    else:
-        if affirmative(cp_verdict):
-            flags.append("cp_proven")
-        if positive_reasons:
-            flags.append("positive_proven")
-        if indecomposable_reasons:
-            flags.append("indecomposable_proven")
-        if decomposable_reasons:
-            flags.append("decomposable_proven")
-        if not positive_reasons:
-            flags.append("inconclusive")
-
-    return ConditionReport(
-        form=form,
-        cp=cp_verdict,
-        ckl_positive=ckl_pos,
-        ckl_indecomposable=ckl_indec,
-        kye=kye_verdict,
-        average_necessary=avg_verdict,
-        pairwise_necessary=pnec,
-        pairwise_sufficient=psuf,
-        c3_mean=c3_verdict,
-        cyclic_necessary=cyc_verdict,
-        b_only_necessary=bonly_verdict,
-        scaling_sufficient=scaling_verdict,
-        boundary_proposition=boundary_verdict,
-        structured_decomposition=structured_verdict,
-        summary=tuple(flags),
-    )
+    return ConditionReport(form, tuple(rows), proofs, summarize(proofs, affirmative(cp_verdict)))

@@ -15,8 +15,6 @@ formulas, 0-based in code).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
@@ -40,24 +38,16 @@ def require_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    """Eigenvalues of a Hermitian matrix, sorted ascending."""
-
-    values: np.ndarray
-
-
-def hermitian_eigenvalues(matrix, atol: float = HERMITIAN_ATOL) -> EigenResult:
-    """All eigenvalues of a Hermitian matrix, by LAPACK through numpy.linalg.eigvalsh."""
-    return EigenResult(values=np.linalg.eigvalsh(require_hermitian(matrix, atol=atol)))
+def hermitian_eigenvalues(matrix, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+    """All eigenvalues of a Hermitian matrix, ascending, by numpy.linalg.eigvalsh (LAPACK)."""
+    return np.linalg.eigvalsh(require_hermitian(matrix, atol=atol))
 
 
 def is_psd(matrix, tol: float = PSD_TOL) -> tuple[bool, float]:
     """Positive-semidefinite test: (min_eigenvalue >= -tol, min_eigenvalue)."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    result = hermitian_eigenvalues(matrix)
-    min_eig = float(result.values[0])
+    min_eig = float(hermitian_eigenvalues(matrix)[0])
     return min_eig >= -tol, min_eig
 
 

@@ -337,7 +337,7 @@ def find_positivity_violation(
     gap = positivity_gap(A, p_best, q_best)
     if gap >= -cfg.violation_tolerance:
         return None
-    residual = float(hermitian_eigenvalues(apply_map(A, outer_product(q_best))).values[0])
+    residual = float(hermitian_eigenvalues(apply_map(A, outer_product(q_best)))[0])
     return ViolationCertificate(p=p_best, q=q_best, gap=gap, residual_check=residual)
 
 

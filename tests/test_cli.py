@@ -174,6 +174,16 @@ class TestStructuredDecomposition:
         assert code == 2
 
 
+class TestRunAnalysis:
+    def test_witness_beside_inconclusive(self):
+        # generalized Choi map n = 4: no criterion proves anything, the probe finds a witness
+        a = [[2.375 if i == j else 1.0 if j == (i - 1) % 4 else 0.0 for j in range(4)]
+             for i in range(4)]
+        doc = cli.run_analysis(validate_coefficients(a), cli.AnalysisRequest(matrix_path=""))
+        assert doc["summary"] == ["inconclusive", "indecomposable_proven"]
+        assert "ppt_witness" in doc and "violation_certificate" not in doc
+
+
 class TestSearchAndProbe:
     def test_search_finds_violation(self, tmp_path, capsys):
         path = write(tmp_path, HALF)
@@ -403,6 +413,19 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("internal inconsistency: witness verification failed")
         assert "Traceback" not in err
+
+    def test_witness_against_decomposability_exits_two(self, tmp_path, capsys, monkeypatch):
+        choi_witness = search.indecomposability_probe(
+            validate_coefficients(CHOI["A"]), search.SearchConfig()
+        )
+        monkeypatch.setattr(cli, "indecomposability_probe", lambda A, cfg: choi_witness)
+        assert main(["analyze", "-i", write(tmp_path, ALL_ONES)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "internal inconsistency: indecomposability proven by ['ppt_witness'] but "
+            "decomposability by ['ckl_indecomposable', 'pairwise_sufficient', "
+            "'structured_decomposition']\n"
+        )
 
 
 JSON_SCALARS = (

@@ -10,6 +10,7 @@ from choilike.criteria import (
     HOLDS,
     MARGINAL,
     NOT_APPLICABLE,
+    InternalInconsistencyError,
     affirmative,
     average_necessary,
     b_only_necessary,
@@ -26,6 +27,7 @@ from choilike.criteria import (
     refuted,
     scaling_sufficient,
     scaling_sufficient_search,
+    summarize,
 )
 from choilike.maps import (
     CklParams,
@@ -307,7 +309,7 @@ class TestFullReport:
     def test_choi_summary(self):
         r = full_report(CHOI)
         assert set(r.summary) == {"positive_proven", "indecomposable_proven"}
-        assert r.cp.status == FAILS
+        assert r.verdict("cp").status == FAILS
         assert r.form.tag == "constant_ckl"
 
     def test_all_ones_summary(self):
@@ -333,7 +335,7 @@ class TestFullReport:
         # decomposable boundary of the constant cyclic family
         for c in np.arange(13) * 0.25:
             r = full_report(constant_ckl_matrix(CklParams(2.0, 0.0, float(c))))
-            assert r.kye.status == MARGINAL
+            assert r.verdict("kye").status == MARGINAL
             assert {"positive_proven", "decomposable_proven"} <= set(r.summary)
             assert "indecomposable_proven" not in r.summary
 
@@ -368,3 +370,142 @@ class TestFullReport:
             a = constant_ckl_matrix(CklParams(*(rng.random(3) * 2)))
             margins = [v.margin for _, v in pairwise_necessary(a)]
             assert max(margins) - min(margins) < 1e-14
+
+
+ROWS_BEFORE_PAIRS = ["cp", "ckl_positive", "ckl_indecomposable", "kye", "average_necessary"]
+ROWS_AFTER_PAIRS = [
+    "c3_mean",
+    "cyclic_necessary",
+    "b_only_necessary",
+    "scaling_sufficient",
+    "boundary_proposition",
+    "structured_decomposition",
+]
+GENERAL_N3 = validate_coefficients([[0.46, 1.17, 1.41], [0.57, 1.72, 0.14], [1.49, 0.32, 1.13]])
+GCHOI_N4 = validate_coefficients(
+    [[2.375, 0, 0, 1], [1, 2.375, 0, 0], [0, 1, 2.375, 0], [0, 0, 1, 2.375]]
+)
+
+
+def no_proofs(**named):
+    proofs = {"positive": [], "not_positive": [], "decomposable": [], "indecomposable": []}
+    proofs.update(named)
+    return proofs
+
+
+class TestConditionTable:
+    @pytest.mark.parametrize(
+        "a, pairs",
+        [
+            (validate_coefficients([[1.5, 0.5], [0.5, 1.5]]), ["1_2"]),
+            (CHOI, ["1_2", "1_3", "2_3"]),
+            (GENERAL_N3, ["1_2", "1_3", "2_3"]),
+            (GCHOI_N4, ["1_2", "1_3", "1_4", "2_3", "2_4", "3_4"]),
+        ],
+        ids=["n2", "constant-ckl", "general-n3", "n4"],
+    )
+    def test_row_names_and_order(self, a, pairs):
+        r = full_report(a)
+        assert [name for name, _ in r.rows] == (
+            ROWS_BEFORE_PAIRS
+            + [f"pairwise_necessary_{p}" for p in pairs]
+            + [f"pairwise_sufficient_{p}" for p in pairs]
+            + ROWS_AFTER_PAIRS
+        )
+        for (i, j), v in pairwise_necessary(a):
+            assert r.verdict(f"pairwise_necessary_{i}_{j}") == v
+        for (i, j), v in pairwise_sufficient(a):
+            assert r.verdict(f"pairwise_sufficient_{i}_{j}") == v
+        assert r.verdict("c3_mean") == c3_mean(a)
+        with pytest.raises(KeyError):
+            r.verdict("pairwise_sufficient")
+
+    @pytest.mark.parametrize(
+        "a, proofs, summary",
+        [
+            (
+                CHOI,
+                no_proofs(
+                    positive=["ckl_positive", "kye", "scaling_sufficient"],
+                    indecomposable=["ckl_indecomposable", "kye"],
+                ),
+                ("positive_proven", "indecomposable_proven"),
+            ),
+            (
+                COUNTEREXAMPLE,
+                no_proofs(not_positive=["pairwise_necessary_1_2", "boundary_proposition"]),
+                ("not_positive_proven",),
+            ),
+            (
+                ALL_ONES,
+                no_proofs(
+                    positive=[
+                        "ckl_positive",
+                        "pairwise_sufficient",
+                        "scaling_sufficient",
+                        "structured_decomposition",
+                    ],
+                    decomposable=[
+                        "ckl_indecomposable",
+                        "pairwise_sufficient",
+                        "structured_decomposition",
+                    ],
+                ),
+                ("positive_proven", "decomposable_proven"),
+            ),
+            (GCHOI_N4, no_proofs(), ("inconclusive",)),
+        ],
+        ids=["choi", "example5", "all-ones", "gchoi-n4"],
+    )
+    def test_proofs_and_summary_pinned(self, a, proofs, summary):
+        r = full_report(a)
+        assert r.proofs == proofs
+        assert r.summary == summary == summarize(proofs, affirmative(r.verdict("cp")))
+
+    @pytest.mark.parametrize(
+        "proofs, cp, summary",
+        [
+            (no_proofs(), False, ("inconclusive",)),
+            (no_proofs(indecomposable=["ppt_witness"]), False,
+             ("inconclusive", "indecomposable_proven")),
+            (no_proofs(positive=["cp"], decomposable=["cp"]), True,
+             ("cp_proven", "positive_proven", "decomposable_proven")),
+            (no_proofs(positive=["kye"], indecomposable=["kye", "ppt_witness"]), False,
+             ("positive_proven", "indecomposable_proven")),
+            (no_proofs(not_positive=["violation_certificate"]), False, ("not_positive_proven",)),
+        ],
+    )
+    def test_summarize_flag_order(self, proofs, cp, summary):
+        assert summarize(proofs, cp) == summary
+
+    @pytest.mark.parametrize(
+        "proofs, message",
+        [
+            (
+                no_proofs(positive=["cp"], not_positive=["pairwise_necessary_1_2"]),
+                "positivity proven by ['cp'] but refuted by ['pairwise_necessary_1_2']",
+            ),
+            (
+                no_proofs(indecomposable=["kye"], decomposable=["ckl_indecomposable"]),
+                "indecomposability proven by ['kye'] but decomposability by ['ckl_indecomposable']",
+            ),
+            (
+                no_proofs(positive=["ckl_positive"], not_positive=["violation_certificate"]),
+                "positivity proven by ['ckl_positive'] but refuted by ['violation_certificate']",
+            ),
+            (
+                no_proofs(
+                    positive=["structured_decomposition"],
+                    decomposable=["structured_decomposition"],
+                    indecomposable=["ppt_witness"],
+                ),
+                "indecomposability proven by ['ppt_witness'] "
+                "but decomposability by ['structured_decomposition']",
+            ),
+        ],
+        ids=["positivity", "decomposability", "violation-certificate", "ppt-witness"],
+    )
+    def test_summarize_raises_on_contradiction(self, proofs, message):
+        with pytest.raises(InternalInconsistencyError) as exc:
+            summarize(proofs, cp=False)
+        assert str(exc.value) == message

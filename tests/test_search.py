@@ -302,7 +302,7 @@ class TestViolationSearch:
 
     def test_residual_matches_matrix_route(self):
         cert = find_positivity_violation(COUNTEREXAMPLE, CFG)
-        mineig = hermitian_eigenvalues(apply_map(COUNTEREXAMPLE, outer_product(cert.q))).values[0]
+        mineig = hermitian_eigenvalues(apply_map(COUNTEREXAMPLE, outer_product(cert.q)))[0]
         assert cert.residual_check == pytest.approx(float(mineig), abs=1e-12)
 
 
