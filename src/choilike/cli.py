@@ -52,6 +52,8 @@ from .search import (
 MAX_SIDE = 16
 # each step of the violation search solves one stacked n x n eigenproblem per moving start
 MAX_STARTS = 4096
+# how many values each reproduction name reads from --a; the other names read none
+_A_COUNTS = {"boundary": 3, "kye-boundary": 1}
 
 
 @dataclass(frozen=True)
@@ -388,8 +390,11 @@ def main(argv: list[str] | None = None) -> int:
             output_format=args.format,
         )
         if args.command == "reproduce":
-            if args.name == "boundary" and args.a is not None and len(args.a) != 3:
-                raise ValueError("boundary takes three diagonal values via --a")
+            count = _A_COUNTS.get(args.name, 0)
+            if args.a is not None and len(args.a) != count:
+                raise ValueError(
+                    f"reproduce {args.name} takes {count} value(s) via --a, got {len(args.a)}"
+                )
             doc = cmd_reproduce(args.name, request, args.a)
         else:
             runner = {"analyze": cmd_analyze, "search": cmd_search, "probe": cmd_probe}

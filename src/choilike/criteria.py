@@ -254,24 +254,24 @@ def scaling_sufficient(
     return Verdict(status, margin, "minimum entry of the dominance gap matrix")
 
 
-def _ckl_margin_grid(a: float, b, c) -> np.ndarray:
-    """Vectorized positivity margin of (a, b, c) over arrays b, c."""
-    main = np.minimum(a + b + c - 2.0, a + np.sqrt(b * c) - 1.0)
-    return np.maximum(a - 2.0, main)
-
-
 def scaling_sufficient_search(
     A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND
 ) -> Verdict:
-    """Search for a positivity certificate by dominance over a rescaled
-    constant map.
+    """Positivity certificate by dominance over a rescaled constant map,
+    at the exact optimum of its family.
 
-    The diagonal reference is fixed at a = min_i a_i (larger diagonals
-    only help).  Closed-form shortcuts handle the b = 0 and c = 0 axes:
-    the map is certified positive when min_i a_i >= 1 and
-    min_i a_i + c* >= 2 (or symmetrically with b*).  Otherwise (b, c) is
-    scanned over [0, b*] x [0, c*] on a 64 x 64 grid with two refinement
-    levels around the best cells, subject to b c <= min_i b_i c_{i+1}.
+    The reference is (a, b, c) with a = min_i a_i (larger diagonals only
+    help) and (b, c) in [0, b*] x [0, c*].  On the axes b = 0 or c = 0 the
+    cyclic caps are vacuous, so the map is certified when min_i a_i >= 1
+    and min_i a_i + max(b*, c*) >= 2.  Otherwise the score of (b, c) is
+    min(margin(a, b, c), cap - bc), cap = min_i b_i c_{i+1}.  For fixed
+    P = bc, b + c is largest at m = max(b*, c*) and P / m, so the score is
+    min(f(P), cap - P) with f(P) = max(a - 2, min(a + m + P/m - 2,
+    a + sqrt(P) - 1)) rising and cap - P falling.  Each piece of f meets
+    cap - P once, at P_const = cap - a + 2, P_lin = m (cap - a - m + 2) /
+    (m + 1) and P_sqrt = s^2, s the root of s^2 + s + a - 1 - cap (0 when
+    it is negative or complex); the optimum is therefore
+    P = min(P_const, max(P_lin, P_sqrt)), clipped to [0, b* c*].
     """
     if A.n != 3:
         return not_applicable("defined for n = 3 only")
@@ -279,53 +279,30 @@ def scaling_sufficient_search(
     g = geometric_means(A)
     b_star, c_star = g.b, g.c
 
-    # Shortcuts along the axes: with b = 0 (or c = 0) the cyclic product
-    # caps are vacuous and the constant map is positive iff a >= 1 and
-    # a + (other mean) >= 2, so the best margin is available in closed form.
     axis_margin = max(
         min(a0 - 1.0, a0 + c_star - 2.0),
         min(a0 - 1.0, a0 + b_star - 2.0),
     )
-    best = axis_margin
-    best_params = (a0, 0.0, c_star) if a0 + c_star >= a0 + b_star else (a0, b_star, 0.0)
     if axis_margin >= 0.0:
+        best_params = (a0, 0.0, c_star) if a0 + c_star >= a0 + b_star else (a0, b_star, 0.0)
         return make_verdict(
             axis_margin, band,
             f"axis certificate with (a, b, c) = {best_params!r}",
         )
 
-    bc_vals = A.b_cyclic * np.roll(A.c_cyclic, -1)  # b_i * c_{i+1}
-    cap = float(np.min(bc_vals))
-
-    def scan(b_lo, b_hi, c_lo, c_hi, points=64):
-        bs = np.linspace(b_lo, b_hi, points)
-        cs = np.linspace(c_lo, c_hi, points)
-        bb, cc = np.meshgrid(bs, cs, indexing="ij")
-        score = np.minimum(_ckl_margin_grid(a0, bb, cc), cap - bb * cc)
-        k = int(np.argmax(score))
-        i, j = np.unravel_index(k, score.shape)
-        return float(score[i, j]), float(bb[i, j]), float(cc[i, j]), (bs, cs, i, j)
-
-    if b_star > 0.0 and c_star > 0.0:
-        score, b_at, c_at, (bs, cs, i, j) = scan(0.0, b_star, 0.0, c_star)
-        level = 0
-        while level < 2:
-            if score > best:
-                best, best_params = score, (a0, b_at, c_at)
-            if score >= 0.0:
-                break
-            db = (bs[1] - bs[0]) if len(bs) > 1 else b_star
-            dc = (cs[1] - cs[0]) if len(cs) > 1 else c_star
-            b_lo = max(0.0, bs[i] - db)
-            b_hi = min(b_star, bs[i] + db)
-            c_lo = max(0.0, cs[j] - dc)
-            c_hi = min(c_star, cs[j] + dc)
-            score, b_at, c_at, (bs, cs, i, j) = scan(b_lo, b_hi, c_lo, c_hi)
-            level += 1
-        if score > best:
-            best, best_params = score, (a0, b_at, c_at)
-
-    detail = f"best reference (a, b, c) = {best_params!r} with joint slack {best!r}"
+    cap = float(np.min(A.b_cyclic * np.roll(A.c_cyclic, -1)))  # min_i b_i c_{i+1}
+    m, t_max = max(b_star, c_star), min(b_star, c_star)
+    t = 0.0
+    if t_max > 0.0:
+        k = a0 - 1.0 - cap
+        s = -2.0 * k / (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * k)))
+        p_const = cap - a0 + 2.0
+        p_lin = m * (cap - a0 - m + 2.0) / (m + 1.0)
+        p_sqrt = max(0.0, s) ** 2
+        t = min(max(min(p_const, max(p_lin, p_sqrt)), 0.0) / m, t_max)
+    b, c = (t, c_star) if c_star > b_star else (b_star, t)
+    best = min(ckl_is_positive(CklParams(a0, b, c), band).margin, cap - b * c)
+    detail = f"best reference (a, b, c) = {(a0, b, c)!r} with joint slack {best!r}"
     return make_verdict(best, band, detail)
 
 

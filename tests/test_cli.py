@@ -183,6 +183,30 @@ class TestRunAnalysis:
         assert doc["summary"] == ["inconclusive", "indecomposable_proven"]
         assert "ppt_witness" in doc and "violation_certificate" not in doc
 
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_builds_nothing_of_side_n_squared(self, tmp_path, capsys, monkeypatch, n):
+        # n = 3 is the Choi map; n = 8 the generalized Choi map with d = 6.375
+        from choilike import linalg, maps
+
+        for module in (maps, linalg, search):
+            for name in ("choi_matrix", "partial_transpose", "assemble_structured_state",
+                         "psd_feasible_cross_terms"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, None)
+        eigenvalues = linalg.hermitian_eigenvalues
+
+        def side_n_only(matrix, *args, **kwargs):
+            assert np.shape(matrix)[0] <= n, "eigensolve of side n^2"
+            return eigenvalues(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "hermitian_eigenvalues", side_n_only)
+        monkeypatch.setattr(search, "hermitian_eigenvalues", side_n_only)
+        d = n - 2 + 0.375 if n > 3 else 1.0
+        a = [[d if i == j else 1.0 if j == (i - 1) % n else 0.0 for j in range(n)] for i in range(n)]
+        code, doc = run_json(capsys, "analyze", "-i", write(tmp_path, {"n": n, "A": a}))
+        assert code == 0
+        assert "indecomposable_proven" in doc["summary"] and "ppt_witness" in doc
+
 
 class TestSearchAndProbe:
     def test_search_finds_violation(self, tmp_path, capsys):
@@ -243,6 +267,16 @@ class TestReproduce:
         code, doc = run_json(capsys, "reproduce", "choi")
         assert code == 0
         assert "witness normalized value" in doc["headline"]
+
+    @pytest.mark.parametrize(
+        "name,values",
+        [("boundary", ["1", "1"]), ("boundary", ["1", "1", "1", "1"]), ("kye-boundary", ["1", "5"]),
+         ("choi", ["7"]), ("example5", ["7"])],
+    )
+    def test_wrong_count_of_a_values_exits_one(self, capsys, name, values):
+        assert main(["reproduce", name, "--a", *values]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: reproduce {name} takes ") and captured.out == ""
 
     def test_unknown_name_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -399,15 +433,9 @@ class TestErrors:
         assert capsys.readouterr().out
 
     def test_failed_witness_verification_exits_two(self, tmp_path, capsys, monkeypatch):
-        import choilike.search as search
-
-        real_is_psd = search.is_psd
-
-        def reject_full_states(m, tol):
-            # the n x n cross-term check passes; the n^2-side witness checks fail
-            return (False, -1.0) if m.shape[0] > 3 else real_is_psd(m, tol=tol)
-
-        monkeypatch.setattr(search, "is_psd", reject_full_states)
+        # cross terms past their caps make the state and its transpose non-positive
+        maximal = search.maximal_cross_terms
+        monkeypatch.setattr(search, "maximal_cross_terms", lambda alpha: 3.0 * maximal(alpha))
         path = write(tmp_path, CHOI)
         assert main(["analyze", "-i", path]) == 2
         err = capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Tests for the analytic criteria and the aggregated report."""
 
+import ast
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,6 +251,52 @@ class TestScalingSearch:
         # rescaling of a strictly interior positive constant map
         a = scaled_ckl_matrix(CklParams(1.2, 0.9, 0.4), ScalingVector((1.0, 3.0, 0.5)))
         assert affirmative(scaling_sufficient_search(a))
+
+
+def _scaling_inputs():
+    values = np.arange(0.0, 3.0001, 0.25)
+    for a in values:
+        for b in values:
+            for c in values:
+                yield constant_ckl_matrix(CklParams(a, b, c))
+    rng = np.random.default_rng(2027)
+    for _ in range(300):
+        # about one entry in six is zero, so some geometric means vanish
+        yield validate_coefficients(2.0 * rng.random((3, 3)) * (rng.random((3, 3)) > 0.15))
+
+
+def _joint_slack(a0, b, c, cap):
+    """Positivity margin of the constant map (a0, b, c), less any excess of bc over cap."""
+    margin = max(a0 - 2.0, min(a0 + b + c - 2.0, a0 + math.sqrt(b * c) - 1.0))
+    return margin if b * c == 0.0 else min(margin, cap - b * c)
+
+
+class TestScalingOptimum:
+    """scaling_sufficient_search against a dense brute force of its own family."""
+
+    def test_reported_reference_is_feasible_and_optimal(self):
+        side = np.linspace(0.0, 1.0, 201)
+        searched = 0
+        for A in _scaling_inputs():
+            a = A.a
+            a0 = float(a.diagonal().min())
+            b_star = float(np.cbrt(a[0, 1] * a[1, 2] * a[2, 0]))
+            c_star = float(np.cbrt(a[0, 2] * a[1, 0] * a[2, 1]))
+            cap = min(a[0, 1] * a[1, 0], a[1, 2] * a[2, 1], a[2, 0] * a[0, 2])
+            v = scaling_sufficient_search(A)
+            ref_a, b, c = ast.literal_eval(re.search(r"= (\(.*?\))", v.detail).group(1))
+            assert ref_a == a0
+            assert 0.0 <= b <= b_star + 1e-12 and 0.0 <= c <= c_star + 1e-12
+            assert _joint_slack(a0, b, c, cap) == pytest.approx(v.margin, abs=1e-12)
+            if v.detail.startswith("axis certificate"):
+                assert v.margin >= 0.0 and b * c == 0.0
+                continue
+            searched += 1
+            bb, cc = np.meshgrid(b_star * side, c_star * side, indexing="ij")
+            main_branch = np.minimum(a0 + bb + cc - 2.0, a0 + np.sqrt(bb * cc) - 1.0)
+            brute = np.minimum(np.maximum(a0 - 2.0, main_branch), cap - bb * cc)
+            assert v.margin >= float(brute.max()) - 1e-12
+        assert searched > 900
 
 
 class TestN2:

@@ -34,6 +34,7 @@ from choilike.search import (
     StructuredPptState,
     _structured_floor,
     _structured_root,
+    _witness_check,
     assemble_structured_state,
     block_positivity_value,
     find_positivity_violation,
@@ -989,18 +990,9 @@ class TestClosedFormOptimum:
     @pytest.mark.parametrize(
         "raw", [CHOI.a, PRUNED.a, _generalized_choi(6)], ids=["choi", "pruned", "gchoi-6"]
     )
-    def test_cross_terms_need_no_shrink(self, raw, monkeypatch):
-        factors = []
-        shrink = search.psd_feasible_cross_terms
-
-        def recording(alpha, r):
-            out = shrink(alpha, r)
-            factors.append(out[1])
-            return out
-
-        monkeypatch.setattr(search, "psd_feasible_cross_terms", recording)
-        assert indecomposability_probe(validate_coefficients(raw), CFG) is not None
-        assert factors == [1.0]
+    def test_cross_terms_need_no_shrink(self, raw):
+        cert = indecomposability_probe(validate_coefficients(raw), CFG)
+        assert psd_feasible_cross_terms(cert.state.alpha, cert.state.r)[1] == 1.0
 
     def test_no_negative_root(self):
         # lambda_min(T) = 1e-13 passes the entry check only because the rounding
@@ -1019,6 +1011,43 @@ class TestClosedFormOptimum:
             cert = indecomposability_probe(PRUNED, cfg)
             assert cert.state.alpha.tobytes() == base.state.alpha.tobytes()
             assert cert.trace_value == base.trace_value
+
+
+def _full_side_checks(A, alpha, r):
+    """Tr(rho C) and the least eigenvalues of rho and rho^Gamma, on the n^2 x n^2 matrices."""
+    rho = assemble_structured_state(alpha, r)
+    return (
+        float(np.trace(rho @ choi_matrix(A)).real),
+        np.linalg.eigvalsh(rho)[0],
+        np.linalg.eigvalsh(partial_transpose(rho, A.n))[0],
+    )
+
+
+class TestBlockCheck:
+    """The probe's n x n and 2 x 2 block checks against the n^2-side matrices."""
+
+    @pytest.mark.parametrize("raw", [m[1] for m in WITNESS_MAPS], ids=[m[0] for m in WITNESS_MAPS])
+    def test_witness_maps(self, raw):
+        a = validate_coefficients(raw)
+        cert = indecomposability_probe(a, CFG)
+        alpha, r = cert.state.alpha, cert.state.r
+        full_side = _full_side_checks(a, alpha, r)
+        assert _witness_check(a, alpha, r) == pytest.approx(full_side, abs=1e-12)
+        assert cert.trace_value == pytest.approx(full_side[0], abs=1e-12)
+
+    def test_random_states(self):
+        # cross terms from zero to three times their caps, of either sign
+        rng = np.random.default_rng(1009)
+        negative = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            a = validate_coefficients(2.0 * rng.random((n, n)))
+            alpha = rng.random((n, n)) * (rng.random((n, n)) > 0.2)
+            r = maximal_cross_terms(alpha) * rng.uniform(-3.0, 3.0, (n, n))
+            full_side = _full_side_checks(a, alpha, r)
+            assert _witness_check(a, alpha, r) == pytest.approx(full_side, abs=1e-12)
+            negative += min(full_side[1:]) < -1e-9
+        assert negative >= 100
 
 
 class TestOneSidedSoundness:
