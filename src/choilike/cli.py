@@ -2,9 +2,11 @@
 
 Input files are UTF-8 JSON objects {"n": int, "A": [[...], ...]}, with
 2 <= n <= 16 and an optional Hermitian "X" whose entries are either plain
-reals or [re, im] pairs.  Reports are emitted as JSON with fixed field
-names or as a plain-text table; identical invocations (same file, flags
-and seed) produce byte-identical output.
+reals or [re, im] pairs.  Each entry of A is 0 or in [1e-50, 1e50]
+(maps.COEFFICIENT_RANGE), after entries in (-1e-12, 0) become 0.
+Reports are emitted as JSON with fixed field names or as a plain-text
+table; identical invocations (same file, flags and seed) produce
+byte-identical output.
 
 Exit codes: 0 analysis completed (whatever the verdict), 1 unreadable or
 invalid input or command line, 2 internal inconsistency (two criteria
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -353,6 +356,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on first use, never at import; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="choilike",

@@ -23,7 +23,6 @@ read entries through these accessors, never through raw indices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,6 +30,8 @@ from .linalg import require_hermitian
 
 PATTERN_ATOL = 1e-12
 NEGATIVE_CLAMP = 1e-12
+# nonzero coefficients lie here, so products and quotients of up to six are normal floats
+COEFFICIENT_RANGE = (1e-50, 1e50)
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,9 @@ def validate_coefficients(raw) -> CoefficientMatrix:
     """Validate a square nonnegative array into a CoefficientMatrix.
 
     Entries in (-1e-12, 0) are treated as round-off and clamped to zero;
-    anything more negative is rejected.  Strings, booleans and other
-    non-numbers are rejected rather than converted.
+    anything more negative is rejected, and so is a nonzero entry outside
+    COEFFICIENT_RANGE.  Strings, booleans and other non-numbers are
+    rejected rather than converted.
     """
     a = np.asarray(raw)
     if a.dtype.kind not in "iuf":
@@ -140,6 +142,13 @@ def validate_coefficients(raw) -> CoefficientMatrix:
         i, j = np.unravel_index(int(np.argmin(a)), a.shape)
         raise ValueError(f"negative coefficient a[{i + 1}][{j + 1}] = {a[i, j]}")
     a = np.where(a < 0.0, 0.0, a)
+    low, high = COEFFICIENT_RANGE
+    outside = (a != 0.0) & ((a < low) | (a > high))
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise ValueError(
+            f"nonzero coefficient a[{i + 1}][{j + 1}] = {a[i, j]} outside [{low}, {high}]"
+        )
     a.setflags(write=False)
     return CoefficientMatrix(n=n, a=a)
 
@@ -184,12 +193,17 @@ def cp_check(A: CoefficientMatrix, tol: float = 1e-9) -> tuple[bool, float]:
     coupled n x n submatrix diag(1 + a_ii) - J (J all ones) is: every
     other diagonal entry is a nonnegative coefficient in a decoupled row.
     Its Schur complement against the positive diagonal is the slack, so
-    the map is CP iff slack >= 0.  The sum runs in exact rational
-    arithmetic, so the sign is exact on the boundary (a_ii = n - 1 gives
-    slack 0).
+    the map is CP iff slack >= 0.  Each a_ii is p/q with q a power of two,
+    so 1/(1 + a_ii) = q/(q + p) and the sum runs exactly as num/den in
+    integers: the sign is exact on the boundary (a_ii = n - 1 gives slack
+    0), and int true division rounds the slack correctly.
     """
-    slack = 1 - sum(1 / (1 + Fraction(float(a))) for a in A.a_diag)
-    return slack >= -tol, float(slack)
+    num, den = 0, 1
+    for a in A.a_diag.tolist():
+        p, q = a.as_integer_ratio()
+        num, den = num * (q + p) + q * den, den * (q + p)
+    tol_num, tol_den = tol.as_integer_ratio()
+    return (den - num) * tol_den >= -tol_num * den, (den - num) / den
 
 
 def structured_matrix(A: CoefficientMatrix) -> np.ndarray:
@@ -222,14 +236,14 @@ def _box_certificate(A: CoefficientMatrix, t: np.ndarray) -> np.ndarray | None:
     None when the box still fails after _BOX_STEPS steps.
     """
     n = A.n
-    a = [[Fraction(float(v)) for v in row] for row in A.a]
+    a = A.a.tolist()
     m = t.copy()
     for _ in range(_BOX_STEPS + 1):
         bad = [
             (i, j)
             for i in range(n)
             for j in range(i + 1, n)
-            if (1 + Fraction(float(m[i, j]))) ** 2 > a[i][j] * a[j][i]
+            if _outside_box(m[i, j], a[i][j], a[j][i])
         ]
         if not bad:
             return m
@@ -239,27 +253,42 @@ def _box_certificate(A: CoefficientMatrix, t: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _rational_psd(m: np.ndarray) -> bool:
-    """Exact M >= 0 for a symmetric float matrix, by LDL^T in Fraction.
+def _outside_box(m: float, x: float, y: float) -> bool:
+    """(1 + m)^2 > x y exactly: with m = u/d and so on, (d + u)^2 d_x d_y > u_x u_y d^2."""
+    u, d = m.as_integer_ratio()
+    ux, dx = x.as_integer_ratio()
+    uy, dy = y.as_integer_ratio()
+    return (d + u) ** 2 * dx * dy > ux * uy * d * d
 
-    A negative pivot refutes; a zero pivot is allowed only when the rest
-    of its column is exactly zero (otherwise a 2 x 2 minor is negative).
+
+def _rational_psd(m: np.ndarray) -> bool:
+    """Exact M >= 0 for a symmetric float matrix, by fraction-free (Bareiss) LDL^T.
+
+    Every float is an integer over a power of two, so one power of two
+    scales M to an integer matrix W.  Step k takes W_ij to
+    (d W_ij - W_ik W_jk) / prev, an exact division by the previous pivot;
+    the pivots d are then leading principal minors, of the same signs as
+    the LDL^T pivots.  A negative pivot refutes; a zero pivot is allowed
+    only when the rest of its column is exactly zero (otherwise a 2 x 2
+    minor is negative), and its step is skipped with prev kept.
     """
-    n = m.shape[0]
-    w = [[Fraction(float(v)) for v in row] for row in m]
+    ratios = [[v.as_integer_ratio() for v in row] for row in m.tolist()]
+    scale = max(q for row in ratios for _, q in row)
+    w = [[p * (scale // q) for p, q in row] for row in ratios]
+    n, prev = len(w), 1
     for k in range(n):
         d = w[k][k]
         if d < 0:
             return False
         if d == 0:
-            if any(w[i][k] != 0 for i in range(k + 1, n)):
+            if any(w[i][k] for i in range(k + 1, n)):
                 return False
             continue
         for i in range(k + 1, n):
-            f = w[i][k] / d
-            if f:
-                for j in range(k + 1, i + 1):
-                    w[i][j] -= f * w[j][k]
+            f, row = w[i][k], w[i]
+            for j in range(k + 1, i + 1):
+                row[j] = (d * row[j] - f * w[j][k]) // prev
+        prev = d
     return True
 
 

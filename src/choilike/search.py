@@ -148,58 +148,23 @@ def gap_decomposition(A: CoefficientMatrix, p, q, refactored: bool = False):
     """
     pv = _as_vector(p, A.n, "p")
     qv = _as_vector(q, A.n, "q")
-    a = A.a
-    n = A.n
-    terms: list[float] = []
-    if not refactored:
-        for k in range(n):
-            terms.append(float(a[k, k] * pv[k] ** 2 * qv[k] ** 2))
-        for k in range(n):
-            for l in range(k + 1, n):
-                terms.append(
-                    float(
-                        (np.sqrt(a[k, l]) * pv[k] * qv[l] - np.sqrt(a[l, k]) * pv[l] * qv[k]) ** 2
-                    )
-                )
-        for k in range(n):
-            for l in range(k + 1, n):
-                terms.append(
-                    float(
-                        2.0 * (np.sqrt(a[k, l] * a[l, k]) - 1.0) * pv[k] * pv[l] * qv[k] * qv[l]
-                    )
-                )
+    a, n = A.a, A.n
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    if refactored:
+        c = 1.0 / (n - 1)
+        head = [
+            (np.sqrt(a[k, k] * c) * pv[k] * qv[k] - np.sqrt(a[l, l] * c) * pv[l] * qv[l]) ** 2
+            for k, l in pairs
+        ]
+        weights = [np.sqrt(a[k, k] * a[l, l]) * c + np.sqrt(a[k, l] * a[l, k]) for k, l in pairs]
     else:
-        scale = 1.0 / (n - 1)
-        for k in range(n):
-            for l in range(k + 1, n):
-                terms.append(
-                    float(
-                        (
-                            np.sqrt(a[k, k] * scale) * pv[k] * qv[k]
-                            - np.sqrt(a[l, l] * scale) * pv[l] * qv[l]
-                        )
-                        ** 2
-                    )
-                )
-        for k in range(n):
-            for l in range(k + 1, n):
-                terms.append(
-                    float(
-                        (np.sqrt(a[k, l]) * pv[k] * qv[l] - np.sqrt(a[l, k]) * pv[l] * qv[k]) ** 2
-                    )
-                )
-        for k in range(n):
-            for l in range(k + 1, n):
-                terms.append(
-                    float(
-                        2.0
-                        * (np.sqrt(a[k, k] * a[l, l]) * scale + np.sqrt(a[k, l] * a[l, k]) - 1.0)
-                        * pv[k]
-                        * pv[l]
-                        * qv[k]
-                        * qv[l]
-                    )
-                )
+        head = [a[k, k] * pv[k] ** 2 * qv[k] ** 2 for k in range(n)]
+        weights = [np.sqrt(a[k, l] * a[l, k]) for k, l in pairs]
+    squares = [
+        (np.sqrt(a[k, l]) * pv[k] * qv[l] - np.sqrt(a[l, k]) * pv[l] * qv[k]) ** 2 for k, l in pairs
+    ]
+    cross = [2.0 * (w - 1.0) * pv[k] * pv[l] * qv[k] * qv[l] for w, (k, l) in zip(weights, pairs)]
+    terms = [float(t) for t in head + squares + cross]
     return terms, float(sum(terms))
 
 

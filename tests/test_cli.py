@@ -22,6 +22,16 @@ ALL_ONES = {"n": 3, "A": [[1, 1, 1], [1, 1, 1], [1, 1, 1]]}
 HALF = {"n": 3, "A": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]}
 
 
+# overflowed, underflowed or contradicted in the analysis before the coefficient range
+EXTREME_MAGNITUDES = {
+    "1e308": [[1e308, 1e308], [1e308, 1e308]],
+    "1e300-cyclic": [[1e300, 1e300, 0], [0, 1e300, 1e300], [1e300, 0, 1e300]],
+    "1e200-side-16": [[1e200] * 16] * 16,
+    "subnormal": [[5e-324, 5e-324], [5e-324, 5e-324]],
+    "mixed": [[1e-300, 1e300, 0], [1e-300, 1, 1e300], [1, 0, 1e-300]],
+}
+
+
 def counterexample_payload():
     z = [2 ** (1 / 3), 2 ** (-1 / 6), 2 ** (-1 / 6)]
     x = [[[z[i] * z[j], 0.0] for j in range(3)] for i in range(3)]
@@ -369,6 +379,17 @@ class TestErrors:
         assert main(["analyze", "-i", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: input nests too deeply")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["analyze", "search", "probe"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("name", list(EXTREME_MAGNITUDES))
+    def test_extreme_magnitudes_refused(self, tmp_path, capsys, command, fmt, name):
+        path = write(tmp_path, {"A": EXTREME_MAGNITUDES[name]})
+        assert main([command, "-i", path, "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: nonzero coefficient a[1][1] = ")
+        assert err.rstrip().endswith("outside [1e-50, 1e+50]")
+
     def test_side_above_sixteen_rejected(self, tmp_path, capsys):
         path = write(tmp_path, {"n": 17, "A": np.ones((17, 17)).tolist()})
         assert main(["analyze", "-i", path]) == 1
@@ -511,6 +532,79 @@ class TestInputFuzz:
     @given(st.binary(max_size=64))
     def test_arbitrary_bytes(self, data):
         _read_or_value_error(data)
+
+
+# run in a fresh interpreter: counts the top-level parsers built, at import and per call
+PARSER_COUNT = """
+import argparse, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.append(self.prog)
+argparse.ArgumentParser.__init__ = counting
+from choilike import cli
+at_import = list(built)
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(cli.main(argv))
+    except SystemExit as exc:
+        codes.append(exc.code)
+sys.stderr.write(json.dumps([at_import, codes, built.count("choilike")]))
+"""
+
+
+class TestCachedParser:
+    """One parser serves every call in a process; each call behaves as in a fresh one."""
+
+    @staticmethod
+    def _argvs(tmp_path):
+        choi, ones = write(tmp_path, CHOI, "choi.json"), write(tmp_path, ALL_ONES, "ones.json")
+        return [
+            ["analyze", "-i", choi, "--format", "json"],
+            ["search", "-i", ones],
+            ["probe", "-i", choi, "--format", "json", "--seed", "3"],
+            ["reproduce", "example5"],
+        ]
+
+    def test_any_order_matches_fresh_processes(self, tmp_path, capsys):
+        argvs = self._argvs(tmp_path)
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "choilike.cli", *argv], capture_output=True, check=True
+            ).stdout.decode()
+            for argv in argvs
+        ]
+        for order in ((0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)):
+            for k in order:
+                assert main(argvs[k]) == 0
+                assert capsys.readouterr().out == fresh[k]
+
+    def test_usage_error_between_good_calls(self, tmp_path, capsys):
+        argv = self._argvs(tmp_path)[0]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "-i", argv[2], "--starts", "many"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: choilike analyze")
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])  # to the sys.stdout of this call, not of the first
+        assert exc.value.code == 0 and capsys.readouterr().out == f"{cli.__version__}\n"
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_built_once_per_process_and_not_at_import(self, tmp_path):
+        argvs = self._argvs(tmp_path)
+        calls = argvs + [["analyze"], ["--version"]] + argvs[::-1]
+        proc = subprocess.run(
+            [sys.executable, "-c", PARSER_COUNT, json.dumps(calls)],
+            capture_output=True, check=True, text=True,
+        )
+        at_import, codes, built = json.loads(proc.stderr.rsplit("\n", 1)[-1])
+        assert at_import == [] and built == 1
+        assert codes == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
 
 
 class TestDeterminism:

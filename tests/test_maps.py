@@ -70,6 +70,16 @@ class TestValidation:
         a = validate_coefficients([[1, -1e-13], [0, 1]])
         assert a.a[0, 1] == 0.0
 
+    @pytest.mark.parametrize("value", [1e51, 1e308, 1e-51, 1e-300, 5e-324])
+    def test_rejects_nonzero_entries_outside_the_range(self, value):
+        with pytest.raises(ValueError, match=r"nonzero coefficient a\[1\]\[2\] = .* outside"):
+            validate_coefficients([[1, value], [0, 1]])
+
+    def test_accepts_the_ends_of_the_range(self):
+        low, high = maps.COEFFICIENT_RANGE
+        a = validate_coefficients([[high, low], [0, -1e-13]])
+        assert a.a.tolist() == [[high, low], [0.0, 0.0]]
+
     def test_rejects_non_square_and_tiny(self):
         with pytest.raises(ValueError, match="square"):
             validate_coefficients([[1, 2, 3], [4, 5, 6]])
@@ -325,6 +335,140 @@ class TestDecompositionCheck:
         monkeypatch.setattr(maps, "_box_certificate", None)  # a call would raise
         verified, got = decomposition_check(constant_ckl_matrix(CklParams(*abc)))
         assert not verified and got == pytest.approx(floor, abs=1e-12)
+
+
+def fraction_box_certificate(A, t):
+    """Reference for maps._box_certificate: the same steps, with the box tested in Fraction."""
+    n = A.n
+    a = [[Fraction(float(v)) for v in row] for row in A.a]
+    m = t.copy()
+    for _ in range(maps._BOX_STEPS + 1):
+        bad = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if (1 + Fraction(float(m[i, j]))) ** 2 > a[i][j] * a[j][i]
+        ]
+        if not bad:
+            return m
+        for i, j in bad:
+            step = min(np.nextafter(m[i, j], -1.0), m[i, j] - np.spacing(1.0 + m[i, j]))
+            m[i, j] = m[j, i] = step
+    return None
+
+
+def fraction_psd(m):
+    """Reference for maps._rational_psd: LDL^T in Fraction."""
+    n = m.shape[0]
+    w = [[Fraction(float(v)) for v in row] for row in m]
+    for k in range(n):
+        d = w[k][k]
+        if d < 0:
+            return False
+        if d == 0:
+            if any(w[i][k] != 0 for i in range(k + 1, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            f = w[i][k] / d
+            if f:
+                for j in range(k + 1, i + 1):
+                    w[i][j] -= f * w[j][k]
+    return True
+
+
+def fraction_cp_check(A, tol):
+    """Reference for maps.cp_check: the slack summed in Fraction."""
+    slack = 1 - sum(1 / (1 + Fraction(float(a))) for a in A.a_diag)
+    return slack >= -tol, float(slack)
+
+
+def _nudged(raw):
+    """The off-diagonal scaled by 1 +- 2^-40 and the diagonal by 1 +- 2^-52."""
+    off = ~np.eye(len(raw), dtype=bool)
+    for sign in (1.0, -1.0):
+        yield np.where(off, raw * (1 + sign * 2.0**-40), raw)
+        yield np.where(off, raw, raw * (1 + sign * 2.0**-52))
+
+
+class TestExactIntegerChecks:
+    """The dyadic-integer checks decide exactly what the Fraction forms decide."""
+
+    TOLS = (1e-9, 1e-300)
+
+    @classmethod
+    def _assert_same(cls, a):
+        for tol in cls.TOLS:
+            flag, slack = cp_check(a, tol)
+            want_flag, want_slack = fraction_cp_check(a, tol)
+            assert flag == want_flag and slack.hex() == want_slack.hex(), (a.a.tolist(), tol)
+        t = structured_matrix(a)
+        m, want = _certificate(a), fraction_box_certificate(a, t)
+        assert (m is None) == (want is None) and (m is None or np.array_equal(m, want))
+        for mat in (t,) if m is None else (t, m):
+            assert _rational_psd(mat) == fraction_psd(mat), mat.tolist()
+
+    def test_ckl_grid(self):
+        for abc in _ckl_grid():
+            self._assert_same(constant_ckl_matrix(CklParams(*abc)))
+
+    def test_random_coefficients(self):
+        rng = np.random.default_rng(1212)
+        for k in range(400):
+            n = 2 + k % 8
+            raw = rng.random((n, n)) * 2 * (rng.random((n, n)) > 0.2)
+            if k % 4 == 3:  # entries over twenty binary orders of magnitude
+                raw *= 2.0 ** rng.integers(-10, 11, (n, n))
+            np.fill_diagonal(raw, rng.uniform(0.0, n - 0.5, n))
+            self._assert_same(validate_coefficients(raw))
+
+    @pytest.mark.parametrize("raw", [m[1] for m in BOUNDARY_MAPS], ids=[m[0] for m in BOUNDARY_MAPS])
+    def test_boundary_maps_and_their_mutations(self, raw):
+        self._assert_same(validate_coefficients(raw))
+        for nudged in _nudged(raw):
+            self._assert_same(validate_coefficients(nudged))
+        for m in _nudged(structured_matrix(validate_coefficients(raw))):
+            assert _rational_psd(m) == fraction_psd(m)
+
+    def test_exactly_singular_matrices(self):
+        # Gram matrices of rank < n over dyadic rows, some rows zero: each is
+        # positive semidefinite, so LDL^T meets a zero pivot with a zero column
+        # and skips it; one off-diagonal pair an ulp away usually refutes
+        rng = np.random.default_rng(1313)
+        verdicts = []
+        for k in range(600):
+            n = 2 + k % 8
+            b = rng.integers(-3, 4, (n, int(rng.integers(1, n)))) * 2.0 ** rng.integers(-20, 21)
+            b[rng.random(n) < 0.2] = 0.0
+            m = b @ b.T
+            if k % 2:
+                i, j = rng.choice(n, 2, replace=False)
+                m[i, j] = m[j, i] = np.nextafter(m[i, j], np.inf)
+            verdicts.append((k % 2, _rational_psd(m)))
+            assert verdicts[-1][1] == fraction_psd(m), m.tolist()
+        assert verdicts.count((0, True)) == 300  # every exact Gram matrix passes
+        assert verdicts.count((1, False)) > 0
+
+    def test_cp_flag_at_slack_equal_to_minus_tol(self):
+        # a = (0, 1) gives slack 1 - 1 - 1/2 = -1/2 exactly
+        a = validate_coefficients([[0.0, 0.3], [0.7, 1.0]])
+        for tol in (0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)):
+            assert cp_check(a, tol) == fraction_cp_check(a, tol) == (tol >= 0.5, -0.5)
+
+    def test_cp_diagonals_at_n_minus_one(self):
+        rng = np.random.default_rng(1414)
+        for n in range(2, 17):
+            for _ in range(20):
+                raw = rng.random((n, n)) * 3
+                np.fill_diagonal(raw, n - 1)
+                k = int(rng.integers(n))
+                for d in (n - 1, np.nextafter(n - 1, 0), np.nextafter(n - 1, n)):
+                    raw[k, k] = d
+                    a = validate_coefficients(raw)
+                    for tol in self.TOLS:
+                        flag, slack = cp_check(a, tol)
+                        want_flag, want_slack = fraction_cp_check(a, tol)
+                        assert flag == want_flag and slack.hex() == want_slack.hex()
 
 
 class TestAveraging:
