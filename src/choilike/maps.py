@@ -401,10 +401,14 @@ def matches_constant_ckl(A: CoefficientMatrix) -> bool:
 
 
 def matches_kye_form(A: CoefficientMatrix) -> bool:
-    """True when all a_i are equal and every b slot is zero."""
+    """True when all a_i are equal and every b slot is exactly zero.
+
+    No tolerance on b: the zero-b theorem refutes positivity, and a b slot
+    of 1e-13 against a c slot of 1e13 makes a positive map.
+    """
     if A.n != 3:
         return False
-    return _all_close(A.a_diag) and bool(np.max(A.b_cyclic) <= PATTERN_ATOL)
+    return _all_close(A.a_diag) and not np.any(A.b_cyclic)
 
 
 def matches_cyclic_bc(A: CoefficientMatrix) -> bool:

@@ -49,10 +49,10 @@ from .maps import (
     structured_rounding,
 )
 
-_STEP_FLOOR = 1e-18
 _GROW = 1.25
 _SHRINK = 0.5
 _SETTLED_REL = 1e-4
+_UNIT_ROUNDING = 2.0 ** -52  # spacing of doubles just above 1: the least move of a unit q
 
 
 @dataclass(frozen=True)
@@ -214,6 +214,17 @@ def _descent_settled(G, active, last_gain, remaining: int, tolerance: float) -> 
     return not np.any(moving)
 
 
+def _tangent_gradient(Q: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The part of each gradient row that the projection does not undo.
+
+    A step along -g leaves q_i = 0 clamped where g_i > 0, and its radial
+    part (g.q) q only rescales q, which the renormalization undoes; what
+    remains is how far the step moves the unit vector q, per unit step.
+    """
+    blocked = (Q == 0.0) & (grad > 0.0)
+    return np.where(blocked, 0.0, grad) - (grad * Q).sum(axis=1, keepdims=True) * Q
+
+
 def _eliminate_p(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lambda_min(M(q)), p = |v_min| and the gradient in q, for each row q of Q.
 
@@ -254,9 +265,13 @@ def find_positivity_violation(
     the descent still runs, as the cross-check that exposes a wrong
     theorem.
 
-    Early stop.  Near a degenerate minimum or saddle some starts creep
-    with gains just above step_tolerance until max_iterations, long after
-    the best start has converged.  The descent therefore also stops once
+    Stopping.  A start stops when an accepted step gains less than
+    step_tolerance, or once step * max|g_T| <= 2^-52 with g_T from
+    _tangent_gradient: its trial point is then within rounding of the
+    unit vector q, whatever the scale of the coefficients.  Near a
+    degenerate minimum or saddle some starts still creep with gains just
+    above step_tolerance until max_iterations, long after the best start
+    has converged.  The descent therefore also stops once
     _descent_settled holds: the lowest value is a converged certificate,
     and no start still moving could end materially below it at its
     current pace.  A certificate exists when the descent stops early, so
@@ -292,7 +307,8 @@ def find_positivity_violation(
         G[won] = newG[improved]
         step[run] *= np.where(improved, _GROW, _SHRINK)
         active[won[last_gain[won] < cfg.step_tolerance]] = False
-        active &= step > _STEP_FLOOR
+        moves = step[run] * np.abs(_tangent_gradient(Q[run], grad[run])).max(axis=1)
+        active[run] &= moves > _UNIT_ROUNDING
         remaining = cfg.max_iterations - it
         if _descent_settled(G, active, last_gain, remaining, cfg.violation_tolerance):
             break
@@ -386,8 +402,11 @@ def _witness_check(
     of order one.  rho is Y = diag(alpha_ii) + r + r^T on the |ii>
     positions plus the diagonal alpha_ik, i != k.  rho^Gamma is the
     diagonal alpha_ii plus the blocks [[alpha_ij, r_ij], [r_ij, alpha_ji]]
-    on {|ij>, |ji>}, i < j, each of least eigenvalue
-    (alpha_ij + alpha_ji)/2 - hypot((alpha_ij - alpha_ji)/2, r_ij).
+    on {|ij>, |ji>}, i < j, each of least eigenvalue the determinant
+    alpha_ij alpha_ji - r_ij^2 over the larger eigenvalue
+    (alpha_ij + alpha_ji)/2 + hypot((alpha_ij - alpha_ji)/2, r_ij); the
+    difference (alpha_ij + alpha_ji)/2 - hypot(...) would cancel when
+    alpha_ij is far above r_ij.
     """
     i, j = np.triu_indices(A.n, 1)
     upper, lower, cross = alpha[i, j], alpha[j, i], r[i, j]
@@ -395,7 +414,9 @@ def _witness_check(
     y = np.diag(np.diag(alpha))
     y[i, j] = y[j, i] = cross
     rho_min = min(np.linalg.eigvalsh(y)[0], upper.min(), lower.min())
-    blocks = 0.5 * (upper + lower) - np.hypot(0.5 * (upper - lower), cross)
+    top = 0.5 * (upper + lower) + np.hypot(0.5 * (upper - lower), cross)
+    det = upper * lower - cross ** 2
+    blocks = np.divide(det, top, out=np.zeros_like(det), where=top > 0.0)
     return pairing, float(rho_min), float(min(np.diag(alpha).min(), blocks.min()))
 
 

@@ -132,6 +132,37 @@ class TestAnalyze:
             assert doc["summary"] == ["cp_proven", "positive_proven", "decomposable_proven"]
 
 
+def constant_cyclic(a, b, c):
+    return {"n": 3, "A": [[a, b, c], [c, a, b], [b, c, a]]}
+
+
+class TestTinyBesideHugeSlots:
+    """Constant cyclic maps pairing a tiny slot with a huge one, inside the coefficient range."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("b,c", [(1e-13, 1e13), (6.9e-20, 7.1e24)])
+    def test_tiny_b_is_outside_the_zero_b_family(self, tmp_path, capsys, b, c):
+        # b c is about 1, so the map is positive and on the decomposability
+        # boundary; the zero-b theorem would call it not positive
+        code, doc = run_json(capsys, "analyze", "-i", write(tmp_path, constant_cyclic(0.0, b, c)))
+        assert code == 0
+        assert doc["summary"] == ["positive_proven", "decomposable_proven"]
+        kye = next(row for row in doc["conditions"] if row["name"] == "kye")
+        assert kye["status"] == "not_applicable"
+
+    @pytest.mark.filterwarnings("error")
+    def test_witness_blocks_beside_a_huge_entry(self, tmp_path, capsys):
+        # alpha_ij near 4e7 beside r_ij = 1/3: the 2 x 2 block minima cancel
+        # to -3.7e-9 unless taken as determinant over the larger eigenvalue
+        path = write(tmp_path, constant_cyclic(0.0, 1.0057e-41, 1.118e8))
+        code, doc = run_json(capsys, "probe", "-i", path)
+        assert code == 0
+        assert doc["summary"] == ["indecomposable_proven"]
+        alpha, r = np.array(doc["ppt_witness"]["alpha"]), np.array(doc["ppt_witness"]["r"])
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            assert r[i, j] ** 2 <= alpha[i, j] * alpha[j, i]
+
+
 # inconclusive by every formula, but T (lambda_min 0.391) decomposes the map exactly
 STRUCTURED = {"n": 3, "A": [[0.46, 1.17, 1.41], [0.57, 1.72, 0.14], [1.49, 0.32, 1.13]]}
 

@@ -28,7 +28,6 @@ from choilike.maps import (
 from choilike.search import (
     _GROW,
     _SHRINK,
-    _STEP_FLOOR,
     PptWitnessCertificate,
     SearchConfig,
     StructuredPptState,
@@ -51,6 +50,7 @@ COUNTEREXAMPLE = validate_coefficients([[0.5, 1, 0], [0, 1, 1], [1, 0, 2]])
 ALL_ONES = validate_coefficients(np.ones((3, 3)))
 ZETA5 = np.array([2 ** (1 / 3), 2 ** (-1 / 6), 2 ** (-1 / 6)])
 CFG = SearchConfig(seed=42)
+_STEP_FLOOR = 1e-18  # absolute step floor of the reference descents below
 
 
 def pairing(A, alpha):
@@ -356,6 +356,19 @@ def _count_projections(monkeypatch):
     return calls
 
 
+def _count_rows(monkeypatch):
+    """Record the number of q rows of each eigensolve of the violation search."""
+    rows = []
+    eliminate = search._eliminate_p
+
+    def counting(w, Q):
+        rows.append(Q.shape[0])
+        return eliminate(w, Q)
+
+    monkeypatch.setattr(search, "_eliminate_p", counting)
+    return rows
+
+
 class TestEarlyStop:
     """The violation descent stops once no moving start could beat a converged certificate."""
 
@@ -499,8 +512,92 @@ class TestExactP:
         a = validate_coefficients(_generalized_choi(n))
         assert not decomposition_check(a)[0]
         calls = _count_projections(monkeypatch)
+        rows = _count_rows(monkeypatch)
         assert find_positivity_violation(a, CFG) is None
         assert len(calls) < 300
+        # most starts reach a face of the orthant at gap 0 within a few
+        # steps, where their projected gradient vanishes; an absolute step
+        # floor had them solve 2267-3401 rows here
+        assert sum(rows) <= 1000
+
+
+def floor_descent(A, cfg):
+    """The violation search with an absolute step floor as its stop.
+
+    find_positivity_violation step for step, except that a start stops
+    only on a small gain or once its step falls to _STEP_FLOOR, however
+    little that step still moves q.
+    """
+    if decomposition_check(A)[0]:
+        return None
+    w = A.a + np.eye(A.n)
+    qs = search._pair_seeds(A)[: cfg.starts]
+    for s in range(len(qs), cfg.starts):
+        q = -np.log(np.random.default_rng((cfg.seed, s)).random(A.n))
+        qs.append(q / np.linalg.norm(q))
+    Q = np.array(qs)
+    G, P, grad = search._eliminate_p(w, Q)
+    step = np.full(cfg.starts, 0.25)
+    active = np.ones(cfg.starts, dtype=bool)
+    last_gain = np.full(cfg.starts, np.inf)
+    for it in range(cfg.max_iterations):
+        if not np.any(active):
+            break
+        run = np.flatnonzero(active)
+        newQ = search._project_unit_nonneg(Q[run] - step[run, None] * grad[run], Q[run])
+        newG, newP, newGrad = search._eliminate_p(w, newQ)
+        improved = newG < G[run]
+        won = run[improved]
+        Q[won], P[won], grad[won] = newQ[improved], newP[improved], newGrad[improved]
+        last_gain[won] = G[won] - newG[improved]
+        G[won] = newG[improved]
+        step[run] *= np.where(improved, _GROW, _SHRINK)
+        active[won[last_gain[won] < cfg.step_tolerance]] = False
+        active &= step > _STEP_FLOOR
+        remaining = cfg.max_iterations - it
+        if search._descent_settled(G, active, last_gain, remaining, cfg.violation_tolerance):
+            break
+    best = int(np.argmin(G))
+    gap = positivity_gap(A, P[best], Q[best])
+    return gap if gap < -cfg.violation_tolerance else None
+
+
+def _stop_rule_corpus():
+    rng = np.random.default_rng(1987)
+    maps = [rng.random((n, n)) * 1.5 for n in rng.integers(2, 9, 40)]
+    grid = np.arange(13) * 0.25
+    maps += [
+        constant_ckl_matrix(CklParams(a, b, c)).a
+        for a in grid for b in grid for c in grid
+        if max(a - 2, min(a + b + c - 2, a + np.sqrt(b * c) - 1)) < 0
+    ]
+    return maps + [_generalized_choi(n) for n in range(4, 9)]
+
+
+class TestStationarityStop:
+    """A start stops once its step can move the unit vector q by no more than rounding."""
+
+    def test_tangent_gradient_drops_what_the_projection_undoes(self):
+        q = np.array([[0.6, 0.8, 0.0, 0.0]])
+        radial = 3.0 * q
+        assert np.abs(search._tangent_gradient(q, radial)).max() <= 1e-15
+        outward = np.array([[0.0, 0.0, 2.0, -1.0]])  # the projection clamps q[2] = 0 back
+        np.testing.assert_array_equal(search._tangent_gradient(q, outward), [[0, 0, 0, -1]])
+        tangent = np.array([[0.8, -0.6, 0.0, 0.0]])
+        np.testing.assert_allclose(search._tangent_gradient(q, tangent + radial), tangent)
+
+    def test_agrees_with_the_floor_descent(self):
+        maps = _stop_rule_corpus()
+        found = 0
+        for raw in maps:
+            a = validate_coefficients(raw)
+            expected = floor_descent(a, CFG)
+            cert = find_positivity_violation(a, CFG)
+            assert (cert is None) == (expected is None), raw.tolist()
+            if cert is not None:
+                found += 1
+                assert abs(cert.gap - expected) <= 1e-9 * abs(expected), raw.tolist()
+        assert found >= 150
 
 
 class TestVerifyCounterexample:
