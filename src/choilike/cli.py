@@ -19,9 +19,7 @@ import argparse
 import cmath
 import functools
 import json
-import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +41,7 @@ from .maps import (
     validate_coefficients,
 )
 from .search import (
+    MAX_STARTS,  # re-exported: the CI workflow reads choilike.cli.MAX_STARTS
     PptWitnessCertificate,
     SearchConfig,
     ViolationCertificate,
@@ -51,45 +50,20 @@ from .search import (
     verify_counterexample,
 )
 
-# linalg is sized for block matrices of side n^2 with n <= 16
+# the largest accepted matrix side, which bounds the size of every input
 MAX_SIDE = 16
-# each step of the violation search solves one stacked n x n eigenproblem per moving start
-MAX_STARTS = 4096
 # how many values each reproduction name reads from --a; the other names read none
 _A_COUNTS = {"boundary": 3, "kye-boundary": 1}
 
 
-@dataclass(frozen=True)
-class AnalysisRequest:
-    matrix_path: str
-    tolerance: float = 1e-9
-    seed: int = 42
-    starts: int = 64
-    output_format: str = "text"
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
-        if not 1 <= self.starts <= MAX_STARTS:
-            raise ValueError(f"starts must be between 1 and {MAX_STARTS}, got {self.starts}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.output_format not in ("text", "json"):
-            raise ValueError("format must be 'text' or 'json'")
-
-    def search_config(self) -> SearchConfig:
-        return SearchConfig(
-            seed=self.seed, starts=self.starts, violation_tolerance=self.tolerance
-        )
-
-    def report_config(self) -> dict:
-        """The settings echoed in every report, in a fixed key order."""
-        return {
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "starts": self.starts,
-            "format": self.output_format,
-        }
+def _config_dict(cfg: SearchConfig, output_format: str) -> dict:
+    """The settings echoed in every report, in a fixed key order."""
+    return {
+        "tolerance": cfg.violation_tolerance,
+        "seed": cfg.seed,
+        "starts": cfg.starts,
+        "format": output_format,
+    }
 
 
 def _reject_non_finite(token: str):
@@ -238,17 +212,14 @@ def emit(doc: dict, fmt: str) -> None:
 
 
 def run_analysis(
-    A: CoefficientMatrix,
-    request: AnalysisRequest,
-    x: np.ndarray | None = None,
+    A: CoefficientMatrix, cfg: SearchConfig, output_format: str, x: np.ndarray | None = None
 ) -> dict:
     """Full criteria report plus certificate searches.
 
     A certificate joins a copy of the report's proofs, and the flags come
     from the same ``summarize`` as the report's own.
     """
-    report = full_report(A, band=request.tolerance)
-    cfg = request.search_config()
+    report = full_report(A, band=cfg.violation_tolerance)
     proofs = {prop: list(names) for prop, names in report.proofs.items()}
     # an exactly verified decomposition leaves no violation to find
     violation = None
@@ -258,7 +229,7 @@ def run_analysis(
     if violation is not None:
         proofs["not_positive"].append("violation_certificate")
     elif not proofs["not_positive"]:
-        witness = indecomposability_probe(A, cfg)
+        witness = indecomposability_probe(A, cfg.violation_tolerance)
         if witness is not None:
             proofs["indecomposable"].append("ppt_witness")
     summary = summarize(proofs, affirmative(report.verdict("cp")))
@@ -272,28 +243,27 @@ def run_analysis(
                 "image_psd": chk.psd,
             }
         }
-    return build_document(A, report, violation, witness, request.report_config(), summary, extra)
+    config = _config_dict(cfg, output_format)
+    return build_document(A, report, violation, witness, config, summary, extra)
 
 
-def cmd_analyze(request: AnalysisRequest) -> dict:
-    A, x = read_matrix_file(request.matrix_path)
-    return run_analysis(A, request, x)
+def cmd_analyze(path: str, cfg: SearchConfig, output_format: str) -> dict:
+    A, x = read_matrix_file(path)
+    return run_analysis(A, cfg, output_format, x)
 
 
-def cmd_search(request: AnalysisRequest) -> dict:
-    A, _ = read_matrix_file(request.matrix_path)
-    cfg = request.search_config()
+def cmd_search(path: str, cfg: SearchConfig, output_format: str) -> dict:
+    A, _ = read_matrix_file(path)
     violation = find_positivity_violation(A, cfg)
     summary = ("not_positive_proven",) if violation else ("inconclusive",)
-    return build_document(A, None, violation, None, request.report_config(), summary)
+    return build_document(A, None, violation, None, _config_dict(cfg, output_format), summary)
 
 
-def cmd_probe(request: AnalysisRequest) -> dict:
-    A, _ = read_matrix_file(request.matrix_path)
-    cfg = request.search_config()
-    witness = indecomposability_probe(A, cfg)
+def cmd_probe(path: str, cfg: SearchConfig, output_format: str) -> dict:
+    A, _ = read_matrix_file(path)
+    witness = indecomposability_probe(A, cfg.violation_tolerance)
     summary = ("indecomposable_proven",) if witness else ("inconclusive",)
-    return build_document(A, None, None, witness, request.report_config(), summary)
+    return build_document(A, None, None, witness, _config_dict(cfg, output_format), summary)
 
 
 def counterexample_instance() -> tuple[CoefficientMatrix, np.ndarray]:
@@ -310,14 +280,16 @@ def _witness_headline(doc: dict) -> str:
     return "indecomposability witness normalized value = %.9f" % w["normalized_value"]
 
 
-def cmd_reproduce(name: str, request: AnalysisRequest, a_params: list[float] | None) -> dict:
+def cmd_reproduce(
+    name: str, cfg: SearchConfig, output_format: str, a_params: list[float] | None
+) -> dict:
     if name == "choi":
         A = validate_coefficients([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
-        doc = run_analysis(A, request)
+        doc = run_analysis(A, cfg, output_format)
         doc["headline"] = _witness_headline(doc)
     elif name == "example5":
         A, x = counterexample_instance()
-        doc = run_analysis(A, request, x)
+        doc = run_analysis(A, cfg, output_format, x)
         chk = doc["counterexample_check"]
         doc["headline"] = (
             "det(image of the rank-one input) = %.9f (input psd: %s, image psd: %s)"
@@ -332,7 +304,7 @@ def cmd_reproduce(name: str, request: AnalysisRequest, a_params: list[float] | N
         if b < 0:
             raise ValueError(f"a* = {a_star} exceeds 2; no boundary instance")
         A = validate_coefficients([[a1, b, 0.0], [0.0, a2, b], [b, 0.0, a3]])
-        doc = run_analysis(A, request)
+        doc = run_analysis(A, cfg, output_format)
         v = boundary_proposition(A)
         doc["headline"] = f"boundary determinant check: {v.detail}"
     elif name == "kye-boundary":
@@ -341,7 +313,7 @@ def cmd_reproduce(name: str, request: AnalysisRequest, a_params: list[float] | N
             raise ValueError("kye boundary needs 0 <= a <= 2")
         c = 2.0 - a
         A = kye_matrix(KyeParams(a, c, c, c))
-        doc = run_analysis(A, request)
+        doc = run_analysis(A, cfg, output_format)
         doc["headline"] = _witness_headline(doc)
     else:
         raise ValueError(f"unknown reproduction name {name!r}")
@@ -386,23 +358,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        request = AnalysisRequest(
-            matrix_path=args.input if args.command != "reproduce" else "",
-            tolerance=args.tol,
-            seed=args.seed,
-            starts=args.starts,
-            output_format=args.format,
-        )
+        cfg = SearchConfig(seed=args.seed, starts=args.starts, violation_tolerance=args.tol)
         if args.command == "reproduce":
             count = _A_COUNTS.get(args.name, 0)
             if args.a is not None and len(args.a) != count:
                 raise ValueError(
                     f"reproduce {args.name} takes {count} value(s) via --a, got {len(args.a)}"
                 )
-            doc = cmd_reproduce(args.name, request, args.a)
+            doc = cmd_reproduce(args.name, cfg, args.format, args.a)
         else:
             runner = {"analyze": cmd_analyze, "search": cmd_search, "probe": cmd_probe}
-            doc = runner[args.command](request)
+            doc = runner[args.command](args.input, cfg, args.format)
     except InternalInconsistencyError as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return 2

@@ -262,33 +262,23 @@ def scaling_sufficient_search(
 
     The reference is (a, b, c) with a = min_i a_i (larger diagonals only
     help) and (b, c) in [0, b*] x [0, c*].  On the axes b = 0 or c = 0 the
-    cyclic caps are vacuous, so the map is certified when min_i a_i >= 1
-    and min_i a_i + max(b*, c*) >= 2.  Otherwise the score of (b, c) is
-    min(margin(a, b, c), cap - bc), cap = min_i b_i c_{i+1}.  For fixed
-    P = bc, b + c is largest at m = max(b*, c*) and P / m, so the score is
+    cyclic caps are vacuous, so the axis slack is the constant-map margin
+    min(a - 1, a + m - 2), m = max(b*, c*).  Inside, the score of (b, c)
+    is min(margin(a, b, c), cap - bc), cap = min_i b_i c_{i+1}.  For fixed
+    P = bc, b + c is largest at m and P / m, so the score is
     min(f(P), cap - P) with f(P) = max(a - 2, min(a + m + P/m - 2,
     a + sqrt(P) - 1)) rising and cap - P falling.  Each piece of f meets
     cap - P once, at P_const = cap - a + 2, P_lin = m (cap - a - m + 2) /
     (m + 1) and P_sqrt = s^2, s the root of s^2 + s + a - 1 - cap (0 when
     it is negative or complex); the optimum is therefore
-    P = min(P_const, max(P_lin, P_sqrt)), clipped to [0, b* c*].
+    P = min(P_const, max(P_lin, P_sqrt)), clipped to [0, b* c*].  The
+    larger of the two slacks is reported.
     """
     if A.n != 3:
         return not_applicable("defined for n = 3 only")
     a0 = float(np.min(A.a_diag))
     g = geometric_means(A)
     b_star, c_star = g.b, g.c
-
-    axis_margin = max(
-        min(a0 - 1.0, a0 + c_star - 2.0),
-        min(a0 - 1.0, a0 + b_star - 2.0),
-    )
-    if axis_margin >= 0.0:
-        best_params = (a0, 0.0, c_star) if a0 + c_star >= a0 + b_star else (a0, b_star, 0.0)
-        return make_verdict(
-            axis_margin, band,
-            f"axis certificate with (a, b, c) = {best_params!r}",
-        )
 
     cap = float(np.min(A.b_cyclic * np.roll(A.c_cyclic, -1)))  # min_i b_i c_{i+1}
     m, t_max = max(b_star, c_star), min(b_star, c_star)
@@ -302,6 +292,9 @@ def scaling_sufficient_search(
         t = min(max(min(p_const, max(p_lin, p_sqrt)), 0.0) / m, t_max)
     b, c = (t, c_star) if c_star > b_star else (b_star, t)
     best = min(ckl_is_positive(CklParams(a0, b, c), band).margin, cap - b * c)
+    axis = min(a0 - 1.0, a0 + m - 2.0)
+    if axis > best:
+        b, c, best = (0.0, c_star, axis) if c_star > b_star else (b_star, 0.0, axis)
     detail = f"best reference (a, b, c) = {(a0, b, c)!r} with joint slack {best!r}"
     return make_verdict(best, band, detail)
 

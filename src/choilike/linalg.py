@@ -1,10 +1,10 @@
 """Dense complex linear algebra for small Hermitian problems.
 
-Everything here is sized for matrices a few hundred rows at most (the
-largest objects in this package are block matrices of side n^2 with
-n <= 16).  Eigenvalues and determinants come from numpy's LAPACK
-routines behind a Hermitian input check.  LAPACK is deterministic for
-identical input on one machine and numpy build, so reports are
+Everything here is sized for small matrices: an analysis works on
+n x n matrices with n <= 16, and only the test oracles build the block
+matrices of side n^2.  Eigenvalues and determinants come from numpy's
+LAPACK routines behind a Hermitian input check.  LAPACK is deterministic
+for identical input on one machine and numpy build, so reports are
 byte-identical there; across builds the low-order bits may differ.
 
 Block conventions used throughout the package: a matrix of side n^2 is
@@ -21,11 +21,11 @@ HERMITIAN_ATOL = 1e-12
 PSD_TOL = 1e-9
 
 
-def require_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def require_hermitian(matrix) -> np.ndarray:
     """Validate and return a square Hermitian matrix as a complex array.
 
     Raises ValueError if the input is not square or if any entry differs
-    from the conjugate of its mirror by more than ``atol``.
+    from the conjugate of its mirror by more than HERMITIAN_ATOL.
     """
     h = np.asarray(matrix, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -33,14 +33,16 @@ def require_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     if h.shape[0] < 1:
         raise ValueError("matrix must have dimension >= 1")
     deviation = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
-    if deviation > atol:
-        raise ValueError(f"matrix is not Hermitian: max |H - H*| = {deviation:.3e} > {atol:.1e}")
+    if deviation > HERMITIAN_ATOL:
+        raise ValueError(
+            f"matrix is not Hermitian: max |H - H*| = {deviation:.3e} > {HERMITIAN_ATOL:.1e}"
+        )
     return h
 
 
-def hermitian_eigenvalues(matrix, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def hermitian_eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending, by numpy.linalg.eigvalsh (LAPACK)."""
-    return np.linalg.eigvalsh(require_hermitian(matrix, atol=atol))
+    return np.linalg.eigvalsh(require_hermitian(matrix))
 
 
 def is_psd(matrix, tol: float = PSD_TOL) -> tuple[bool, float]:

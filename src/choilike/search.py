@@ -51,27 +51,30 @@ from .maps import (
 
 _GROW = 1.25
 _SHRINK = 0.5
+_MAX_ITERATIONS = 2000
+_STEP_TOLERANCE = 1e-12  # a start whose accepted step gains less than this stops
 _SETTLED_REL = 1e-4
 _UNIT_ROUNDING = 2.0 ** -52  # spacing of doubles just above 1: the least move of a unit q
+# each step of the violation search solves one stacked n x n eigenproblem per moving start
+MAX_STARTS = 4096
 
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """The settings of an analysis, checked in this order: tolerance, starts, seed."""
+
     seed: int = 0
     starts: int = 64
-    max_iterations: int = 2000
-    step_tolerance: float = 1e-12
     violation_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.starts < 1 or self.max_iterations < 1:
-            raise ValueError("starts and max_iterations must be positive")
+        tol = self.violation_tolerance
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+        if not 1 <= self.starts <= MAX_STARTS:
+            raise ValueError(f"starts must be between 1 and {MAX_STARTS}, got {self.starts}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not all(
-            math.isfinite(t) and t > 0 for t in (self.step_tolerance, self.violation_tolerance)
-        ):
-            raise ValueError("tolerances must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -266,11 +269,11 @@ def find_positivity_violation(
     theorem.
 
     Stopping.  A start stops when an accepted step gains less than
-    step_tolerance, or once step * max|g_T| <= 2^-52 with g_T from
+    _STEP_TOLERANCE, or once step * max|g_T| <= 2^-52 with g_T from
     _tangent_gradient: its trial point is then within rounding of the
     unit vector q, whatever the scale of the coefficients.  Near a
     degenerate minimum or saddle some starts still creep with gains just
-    above step_tolerance until max_iterations, long after the best start
+    above _STEP_TOLERANCE until _MAX_ITERATIONS, long after the best start
     has converged.  The descent therefore also stops once
     _descent_settled holds: the lowest value is a converged certificate,
     and no start still moving could end materially below it at its
@@ -294,7 +297,7 @@ def find_positivity_violation(
     active = np.ones(starts, dtype=bool)
     last_gain = np.full(starts, np.inf)  # gain of each start's latest accepted step
 
-    for it in range(cfg.max_iterations):
+    for it in range(_MAX_ITERATIONS):
         if not np.any(active):
             break
         run = np.flatnonzero(active)
@@ -306,10 +309,10 @@ def find_positivity_violation(
         last_gain[won] = G[won] - newG[improved]
         G[won] = newG[improved]
         step[run] *= np.where(improved, _GROW, _SHRINK)
-        active[won[last_gain[won] < cfg.step_tolerance]] = False
+        active[won[last_gain[won] < _STEP_TOLERANCE]] = False
         moves = step[run] * np.abs(_tangent_gradient(Q[run], grad[run])).max(axis=1)
         active[run] &= moves > _UNIT_ROUNDING
-        remaining = cfg.max_iterations - it
+        remaining = _MAX_ITERATIONS - it
         if _descent_settled(G, active, last_gain, remaining, cfg.violation_tolerance):
             break
 
@@ -480,7 +483,7 @@ def _witness_profile(a: np.ndarray, lam: float) -> tuple[np.ndarray, int | None]
 
 
 def indecomposability_probe(
-    A: CoefficientMatrix, cfg: SearchConfig = SearchConfig()
+    A: CoefficientMatrix, tolerance: float = 1e-9
 ) -> PptWitnessCertificate | None:
     """The structured PPT state of least normalized pairing, in closed form.
 
@@ -492,26 +495,24 @@ def indecomposability_probe(
     dropped.  The root is then found again on the remaining indices K: a
     state on K (x) K is a witness for A too, since C restricted to it is
     the block matrix of A[K, K].  The probe returns None once
-    lambda_min(T_0[K]) exceeds -violation_tolerance by more than its
-    rounding; with K all indices this is the entry check, and the family
-    then holds no witness.  On the constant cyclic maps (a, b, c),
-    lambda_min(T_0) = a - 2 max(0, 1 - sqrt(bc)), whose sign changes
-    exactly on the Cho-Kye-Lee decomposability boundary 4bc = (2 - a)^2,
-    a < 2.  The seed, the starts and the step settings are not read.
+    lambda_min(T_0[K]) exceeds -tolerance by more than its rounding; with
+    K all indices this is the entry check, and the family then holds no
+    witness.  On the constant cyclic maps (a, b, c), lambda_min(T_0) =
+    a - 2 max(0, 1 - sqrt(bc)), whose sign changes exactly on the
+    Cho-Kye-Lee decomposability boundary 4bc = (2 - a)^2, a < 2.
 
     The cross terms are the maximal ones, and _witness_check verifies the
     state on its n x n and 2 x 2 blocks, which carry the eigenvalues of
     the n^2 x n^2 state and its blockwise transpose.  Returns None when no
-    witness below -violation_tolerance is found, which proves nothing; a
-    least eigenvalue below -violation_tolerance raises
-    InternalInconsistencyError.
+    witness below -tolerance is found, which proves nothing; a least
+    eigenvalue below -tolerance raises InternalInconsistencyError.
     """
     n = A.n
     keep = np.arange(n)
     sub = A
     while True:
         floor = _structured_floor(sub)
-        if floor > -cfg.violation_tolerance + structured_rounding(A):
+        if floor > -tolerance + structured_rounding(A):
             return None
         lam = _structured_root(sub.a, floor)
         if lam == 0.0:  # lambda_min(T_lam) >= 0 for every lam < 0 tried: no state pairs below 0
@@ -526,9 +527,9 @@ def indecomposability_probe(
 
     r = maximal_cross_terms(alpha)
     trace_value, rho_min, gamma_min = _witness_check(A, alpha, r)
-    if trace_value >= -cfg.violation_tolerance:
+    if trace_value >= -tolerance:
         return None
-    if min(rho_min, gamma_min) < -cfg.violation_tolerance:
+    if min(rho_min, gamma_min) < -tolerance:
         raise InternalInconsistencyError(
             f"witness verification failed: min eigenvalues {rho_min!r}, {gamma_min!r}"
         )

@@ -128,7 +128,7 @@ def test_acceptance_2_boundary_determinant_identity():
 
 def test_acceptance_3_choi_indecomposability_witness():
     with _Timer(3, "choi-map witness (normalized value <= -1/7)", 10.0):
-        cert = indecomposability_probe(CHOI, SearchConfig(seed=42))
+        cert = indecomposability_probe(CHOI)
         assert cert is not None
         assert cert.normalized_value <= -1 / 7 + 1e-6
         rho = assemble_structured_state(cert.state.alpha, cert.state.r)
@@ -199,7 +199,7 @@ def test_acceptance_6_sufficiency_soundness():
             count += 1
             a = validate_coefficients(raw)
             assert find_positivity_violation(a, cfg) is None
-            assert indecomposability_probe(a, cfg) is None
+            assert indecomposability_probe(a, cfg.violation_tolerance) is None
 
         count = 0
         while count < 200:

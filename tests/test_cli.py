@@ -220,7 +220,7 @@ class TestRunAnalysis:
         # generalized Choi map n = 4: no criterion proves anything, the probe finds a witness
         a = [[2.375 if i == j else 1.0 if j == (i - 1) % 4 else 0.0 for j in range(4)]
              for i in range(4)]
-        doc = cli.run_analysis(validate_coefficients(a), cli.AnalysisRequest(matrix_path=""))
+        doc = cli.run_analysis(validate_coefficients(a), search.SearchConfig(seed=42), "text")
         assert doc["summary"] == ["inconclusive", "indecomposable_proven"]
         assert "ppt_witness" in doc and "violation_certificate" not in doc
 
@@ -276,6 +276,14 @@ class TestSearchAndProbe:
         code, doc = run_json(capsys, "probe", "-i", path)
         assert code == 0
         assert doc["summary"] == ["inconclusive"]
+
+    def test_probe_independent_of_seed_and_starts(self, tmp_path, capsys):
+        path = write(tmp_path, CHOI)
+        _, base = run_json(capsys, "probe", "-i", path)
+        code, doc = run_json(capsys, "probe", "-i", path, "--seed", "0", "--starts", "1")
+        assert code == 0
+        assert doc["ppt_witness"] == base["ppt_witness"]
+        assert (doc["config"]["seed"], doc["config"]["starts"]) == (0, 1)
 
 
 class TestReproduce:
@@ -437,9 +445,12 @@ class TestErrors:
             (["--starts", "0"], f"error: starts must be between 1 and {MAX_STARTS}"),
             (["--starts", str(MAX_STARTS + 1)], f"error: starts must be between 1 and {MAX_STARTS}"),
             (["--seed", "-5"], "error: seed must be nonnegative"),
+            # checked in the order tolerance, starts, seed
+            (["--tol=-1", "--starts", "0"], "error: tolerance must be finite and positive"),
+            (["--starts", "0", "--seed", "-1"], "error: starts must be between 1 and"),
         ],
         ids=["tol-nan", "tol-inf", "tol-minus-inf", "tol-zero", "starts-zero", "starts-above-cap",
-             "seed-negative"],
+             "seed-negative", "tol-before-starts", "starts-before-seed"],
     )
     def test_bad_settings_refused_before_any_work(
         self, tmp_path, capsys, monkeypatch, command, flags, message
@@ -495,10 +506,8 @@ class TestErrors:
         assert "Traceback" not in err
 
     def test_witness_against_decomposability_exits_two(self, tmp_path, capsys, monkeypatch):
-        choi_witness = search.indecomposability_probe(
-            validate_coefficients(CHOI["A"]), search.SearchConfig()
-        )
-        monkeypatch.setattr(cli, "indecomposability_probe", lambda A, cfg: choi_witness)
+        choi_witness = search.indecomposability_probe(validate_coefficients(CHOI["A"]))
+        monkeypatch.setattr(cli, "indecomposability_probe", lambda A, tolerance: choi_witness)
         assert main(["analyze", "-i", write(tmp_path, ALL_ONES)]) == 2
         err = capsys.readouterr().err
         assert err == (

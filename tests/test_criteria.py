@@ -276,7 +276,6 @@ class TestScalingOptimum:
 
     def test_reported_reference_is_feasible_and_optimal(self):
         side = np.linspace(0.0, 1.0, 201)
-        searched = 0
         for A in _scaling_inputs():
             a = A.a
             a0 = float(a.diagonal().min())
@@ -288,15 +287,12 @@ class TestScalingOptimum:
             assert ref_a == a0
             assert 0.0 <= b <= b_star + 1e-12 and 0.0 <= c <= c_star + 1e-12
             assert _joint_slack(a0, b, c, cap) == pytest.approx(v.margin, abs=1e-12)
-            if v.detail.startswith("axis certificate"):
-                assert v.margin >= 0.0 and b * c == 0.0
-                continue
-            searched += 1
             bb, cc = np.meshgrid(b_star * side, c_star * side, indexing="ij")
             main_branch = np.minimum(a0 + bb + cc - 2.0, a0 + np.sqrt(bb * cc) - 1.0)
-            brute = np.minimum(np.maximum(a0 - 2.0, main_branch), cap - bb * cc)
+            margin = np.maximum(a0 - 2.0, main_branch)
+            # on the axes bc = 0 the caps are vacuous, as in _joint_slack
+            brute = np.where(bb * cc == 0.0, margin, np.minimum(margin, cap - bb * cc))
             assert v.margin >= float(brute.max()) - 1e-12
-        assert searched > 900
 
 
 class TestN2:

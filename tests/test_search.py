@@ -26,8 +26,11 @@ from choilike.maps import (
     validate_coefficients,
 )
 from choilike.search import (
+    MAX_STARTS,
     _GROW,
+    _MAX_ITERATIONS,
     _SHRINK,
+    _STEP_TOLERANCE,
     PptWitnessCertificate,
     SearchConfig,
     StructuredPptState,
@@ -131,7 +134,7 @@ def pair_loop_probe(A, cfg):
     active = np.ones(S, dtype=bool)
     flat = alphas.reshape(S, n * n)
 
-    for _ in range(cfg.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         if not np.any(active):
             break
         grad = gradients(flat.reshape(S, n, n)).reshape(S, n * n)
@@ -142,7 +145,7 @@ def pair_loop_probe(A, cfg):
         gain = np.where(improved, F - newF, 0.0)
         F = np.where(improved, newF, F)
         step = np.where(improved, step * _GROW, np.where(active, step * _SHRINK, step))
-        active = active & ~(improved & (gain < cfg.step_tolerance))
+        active = active & ~(improved & (gain < _STEP_TOLERANCE))
         active = active & (step > _STEP_FLOOR)
 
     best = int(np.argmin(F))
@@ -190,7 +193,13 @@ class TestSearchConfig:
             SearchConfig(seed=-1)
         assert SearchConfig(seed=0).seed == 0
 
-    @pytest.mark.parametrize("field", ["step_tolerance", "violation_tolerance"])
+    def test_starts_capped_for_library_calls(self):
+        assert SearchConfig(starts=MAX_STARTS).starts == MAX_STARTS
+        above = MAX_STARTS + 1
+        with pytest.raises(ValueError, match=f"between 1 and {MAX_STARTS}, got {above}"):
+            find_positivity_violation(COUNTEREXAMPLE, SearchConfig(starts=above))
+
+    @pytest.mark.parametrize("field", ["violation_tolerance"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-9])
     def test_tolerance_must_be_finite_and_positive(self, field, value):
         with pytest.raises(ValueError, match="finite and positive"):
@@ -408,7 +417,7 @@ class TestEarlyStop:
         _full_descent(monkeypatch)
         calls.clear()
         full = find_positivity_violation(a, CFG)
-        assert len(calls) == CFG.max_iterations  # one projection per step
+        assert len(calls) == _MAX_ITERATIONS  # one projection per step
         assert early.gap == pytest.approx(full.gap, rel=1e-8)
 
     def test_waits_for_a_start_still_descending(self, monkeypatch):
@@ -540,7 +549,7 @@ def floor_descent(A, cfg):
     step = np.full(cfg.starts, 0.25)
     active = np.ones(cfg.starts, dtype=bool)
     last_gain = np.full(cfg.starts, np.inf)
-    for it in range(cfg.max_iterations):
+    for it in range(_MAX_ITERATIONS):
         if not np.any(active):
             break
         run = np.flatnonzero(active)
@@ -552,9 +561,9 @@ def floor_descent(A, cfg):
         last_gain[won] = G[won] - newG[improved]
         G[won] = newG[improved]
         step[run] *= np.where(improved, _GROW, _SHRINK)
-        active[won[last_gain[won] < cfg.step_tolerance]] = False
+        active[won[last_gain[won] < _STEP_TOLERANCE]] = False
         active &= step > _STEP_FLOOR
-        remaining = cfg.max_iterations - it
+        remaining = _MAX_ITERATIONS - it
         if search._descent_settled(G, active, last_gain, remaining, cfg.violation_tolerance):
             break
     best = int(np.argmin(G))
@@ -770,7 +779,7 @@ class TestStructuredValue:
 
 class TestIndecomposabilityProbe:
     def test_choi_witness(self):
-        cert = indecomposability_probe(CHOI, CFG)
+        cert = indecomposability_probe(CHOI)
         assert cert is not None
         assert cert.normalized_value <= -1 / 7 + 1e-6
         rho = assemble_structured_state(cert.state.alpha, cert.state.r)
@@ -781,7 +790,7 @@ class TestIndecomposabilityProbe:
         assert cert.trace_value < -1e-9
 
     def test_cross_term_caps(self):
-        cert = indecomposability_probe(CHOI, CFG)
+        cert = indecomposability_probe(CHOI)
         alpha, r = cert.state.alpha, cert.state.r
         for i in range(3):
             for j in range(i + 1, 3):
@@ -789,11 +798,11 @@ class TestIndecomposabilityProbe:
                 assert r[i, j] ** 2 <= alpha[i, j] * alpha[j, i] + 1e-12
 
     def test_decomposable_map_yields_none(self):
-        assert indecomposability_probe(ALL_ONES, CFG) is None
+        assert indecomposability_probe(ALL_ONES) is None
 
     def test_kye_boundary_witness(self):
         a = kye_matrix(KyeParams(1, 1, 1, 1))
-        cert = indecomposability_probe(a, CFG)
+        cert = indecomposability_probe(a)
         assert cert is not None and cert.trace_value < -1e-9
 
     def test_zero_b_family_witnesses_along_boundary(self):
@@ -801,12 +810,12 @@ class TestIndecomposabilityProbe:
         # the probe confirms the latter numerically across the family
         for a_val in (1.0, 1.25, 1.5):
             c = 2.0 - a_val
-            cert = indecomposability_probe(kye_matrix(KyeParams(a_val, c, c, c)), CFG)
+            cert = indecomposability_probe(kye_matrix(KyeParams(a_val, c, c, c)))
             assert cert is not None and cert.normalized_value < -1e-9
 
     def test_deterministic_for_fixed_seed(self):
-        c1 = indecomposability_probe(CHOI, SearchConfig(seed=3))
-        c2 = indecomposability_probe(CHOI, SearchConfig(seed=3))
+        c1 = indecomposability_probe(CHOI)
+        c2 = indecomposability_probe(CHOI)
         assert c1.trace_value == c2.trace_value
         assert np.array_equal(c1.state.alpha, c2.state.alpha)
 
@@ -867,7 +876,7 @@ def test_probe_matches_pair_loop_bit_for_bit(name, raw, seed):
     a = validate_coefficients(raw)
     cfg = SearchConfig(seed=seed)
     expected = pair_loop_probe(a, cfg)
-    got = indecomposability_probe(a, cfg)
+    got = indecomposability_probe(a, cfg.violation_tolerance)
     if expected is not None:
         assert got is not None
         assert got.normalized_value <= expected.normalized_value + 1e-12
@@ -912,7 +921,7 @@ class TestGradientBound:
 
         monkeypatch.setattr(search, "_structured_floor", recording)
         a = validate_coefficients(raw)
-        assert indecomposability_probe(a, CFG) is not None
+        assert indecomposability_probe(a) is not None
         assert bounds and max(bounds) <= -CFG.violation_tolerance
 
 
@@ -972,7 +981,7 @@ class TestStructuredFloor:
     def test_negative_when_a_witness_exists(self, raw):
         a = validate_coefficients(raw)
         assert _structured_floor(a) < -CFG.violation_tolerance
-        assert indecomposability_probe(a, CFG) is not None
+        assert indecomposability_probe(a) is not None
 
 
 def _verified(a, cert):
@@ -1022,7 +1031,7 @@ class TestClosedFormOptimum:
     """The probe returns the optimum of the structured family in closed form."""
 
     def test_choi_value(self):
-        cert = indecomposability_probe(CHOI, CFG)
+        cert = indecomposability_probe(CHOI)
         _verified(CHOI, cert)
         assert cert.normalized_value == pytest.approx(1 - 2 / np.sqrt(3), abs=1e-12)
 
@@ -1031,7 +1040,7 @@ class TestClosedFormOptimum:
     )
     def test_generalized_choi_value(self, n, rounded):
         a = validate_coefficients(_generalized_choi(n))
-        cert = indecomposability_probe(a, CFG)
+        cert = indecomposability_probe(a)
         _verified(a, cert)
         assert cert.normalized_value == pytest.approx(_gchoi_root(n), abs=1e-12)
         assert cert.normalized_value == pytest.approx(rounded, abs=5e-5)
@@ -1045,7 +1054,7 @@ class TestClosedFormOptimum:
                     a = constant_ckl_matrix(CklParams(a_val, b, c))
                     if _structured_floor(a) < -1e-9:
                         found += 1
-                        _verified(a, indecomposability_probe(a, CFG))
+                        _verified(a, indecomposability_probe(a))
         assert found == 316
 
     def test_root_bounds_every_profile(self):
@@ -1065,7 +1074,7 @@ class TestClosedFormOptimum:
             for _ in range(20):
                 alpha = _simplex_point(rng, n)
                 assert pairing(a, alpha) >= lam - 1e-12
-            cert = indecomposability_probe(a, CFG)
+            cert = indecomposability_probe(a)
             if cert is None:
                 continue
             assert cert.normalized_value >= lam - 1e-12
@@ -1078,7 +1087,7 @@ class TestClosedFormOptimum:
         floor = _structured_floor(PRUNED)
         _, drop = search._witness_profile(PRUNED.a, _structured_root(PRUNED.a, floor))
         assert drop == 4
-        cert = indecomposability_probe(PRUNED, CFG)
+        cert = indecomposability_probe(PRUNED)
         _verified(PRUNED, cert)
         assert not cert.state.alpha[4].any() and not cert.state.alpha[:, 4].any()
         # pair_loop_probe reaches only -0.0106 here
@@ -1088,7 +1097,7 @@ class TestClosedFormOptimum:
         "raw", [CHOI.a, PRUNED.a, _generalized_choi(6)], ids=["choi", "pruned", "gchoi-6"]
     )
     def test_cross_terms_need_no_shrink(self, raw):
-        cert = indecomposability_probe(validate_coefficients(raw), CFG)
+        cert = indecomposability_probe(validate_coefficients(raw))
         assert psd_feasible_cross_terms(cert.state.alpha, cert.state.r)[1] == 1.0
 
     def test_no_negative_root(self):
@@ -1100,14 +1109,7 @@ class TestClosedFormOptimum:
         assert 0 < _structured_floor(a) < 1e-12
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert indecomposability_probe(a, SearchConfig(violation_tolerance=1e-15)) is None
-
-    def test_independent_of_seed_and_starts(self):
-        base = indecomposability_probe(PRUNED, CFG)
-        for cfg in (SearchConfig(seed=0, starts=1), SearchConfig(seed=9, max_iterations=1)):
-            cert = indecomposability_probe(PRUNED, cfg)
-            assert cert.state.alpha.tobytes() == base.state.alpha.tobytes()
-            assert cert.trace_value == base.trace_value
+            assert indecomposability_probe(a, tolerance=1e-15) is None
 
 
 def _full_side_checks(A, alpha, r):
@@ -1126,7 +1128,7 @@ class TestBlockCheck:
     @pytest.mark.parametrize("raw", [m[1] for m in WITNESS_MAPS], ids=[m[0] for m in WITNESS_MAPS])
     def test_witness_maps(self, raw):
         a = validate_coefficients(raw)
-        cert = indecomposability_probe(a, CFG)
+        cert = indecomposability_probe(a)
         alpha, r = cert.state.alpha, cert.state.r
         full_side = _full_side_checks(a, alpha, r)
         assert _witness_check(a, alpha, r) == pytest.approx(full_side, abs=1e-12)
@@ -1164,7 +1166,7 @@ class TestOneSidedSoundness:
                 continue
             count += 1
             assert find_positivity_violation(a, cfg) is None
-            assert indecomposability_probe(a, cfg) is None
+            assert indecomposability_probe(a, cfg.violation_tolerance) is None
 
     def test_certificates_found_under_violated_necessary_bound(self):
         rng = np.random.default_rng(98)
