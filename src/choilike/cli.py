@@ -29,7 +29,6 @@ from .criteria import (
     ConditionReport,
     InternalInconsistencyError,
     affirmative,
-    boundary_proposition,
     full_report,
     summarize,
 )
@@ -41,7 +40,6 @@ from .maps import (
     validate_coefficients,
 )
 from .search import (
-    MAX_STARTS,  # re-exported: the CI workflow reads choilike.cli.MAX_STARTS
     PptWitnessCertificate,
     SearchConfig,
     ViolationCertificate,
@@ -305,8 +303,8 @@ def cmd_reproduce(
             raise ValueError(f"a* = {a_star} exceeds 2; no boundary instance")
         A = validate_coefficients([[a1, b, 0.0], [0.0, a2, b], [b, 0.0, a3]])
         doc = run_analysis(A, cfg, output_format)
-        v = boundary_proposition(A)
-        doc["headline"] = f"boundary determinant check: {v.detail}"
+        row = next(c for c in doc["conditions"] if c["name"] == "boundary_proposition")
+        doc["headline"] = f"boundary determinant check: {row['detail']}"
     elif name == "kye-boundary":
         a = a_params[0] if a_params else 1.0
         if not 0 <= a <= 2:
@@ -336,13 +334,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    default = SearchConfig()
 
     def add_common(p, with_input=True):
         if with_input:
             p.add_argument("-i", "--input", required=True, help="JSON matrix file")
-        p.add_argument("--tol", type=float, default=1e-9, help="margin band / violation tolerance")
-        p.add_argument("--seed", type=int, default=42, help="search seed")
-        p.add_argument("--starts", type=int, default=64, help="number of search starts")
+        p.add_argument(
+            "--tol",
+            type=float,
+            default=default.violation_tolerance,
+            help="margin band / violation tolerance",
+        )
+        p.add_argument("--seed", type=int, default=default.seed, help="search seed")
+        p.add_argument("--starts", type=int, default=default.starts, help="number of search starts")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     add_common(sub.add_parser("analyze", help="full criteria report plus certificate searches"))

@@ -23,6 +23,7 @@ import numpy as np
 
 from .linalg import determinant, outer_product
 from .maps import (
+    PATTERN_ATOL,
     CklParams,
     CoefficientMatrix,
     FormClass,
@@ -216,7 +217,7 @@ def cyclic_necessary(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) ->
         return not_applicable("requires b > 0 and c > 0")
     if float(np.min(A.a_diag)) < 1.0:
         return not_applicable("requires every a_i >= 1")
-    a_star = float(np.prod(A.a_diag) ** (1.0 / 3.0))
+    a_star = geometric_means(A).a
     return make_verdict(a_star + b + c - 2.0, band, f"a* = {a_star!r}")
 
 
@@ -228,8 +229,8 @@ def b_only_necessary(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) ->
         return not_applicable("requires zero c slots and positive b slots (n = 3)")
     if float(np.min(A.a_diag)) < 1.0:
         return not_applicable("requires every a_i >= 1")
-    a_star = float(np.prod(A.a_diag) ** (1.0 / 3.0))
-    b_star = float(np.prod(A.b_cyclic) ** (1.0 / 3.0))
+    g = geometric_means(A)
+    a_star, b_star = g.a, g.b
     return make_verdict(a_star + b_star - 2.0, band, f"a* = {a_star!r}, b* = {b_star!r}")
 
 
@@ -297,15 +298,6 @@ def scaling_sufficient_search(
         b, c, best = (0.0, c_star, axis) if c_star > b_star else (b_star, 0.0, axis)
     detail = f"best reference (a, b, c) = {(a0, b, c)!r} with joint slack {best!r}"
     return make_verdict(best, band, detail)
-
-
-def n2_positive(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Verdict:
-    """Exact positivity test for n = 2: sqrt(a11 a22) + sqrt(a12 a21) >= 1."""
-    if A.n != 2:
-        return not_applicable("defined for n = 2 only")
-    a = A.a
-    margin = math.sqrt(a[0, 0] * a[1, 1]) + math.sqrt(a[0, 1] * a[1, 0]) - 1.0
-    return make_verdict(margin, band, "if and only if condition")
 
 
 def boundary_witness_vector(a1: float, a2: float, a3: float) -> np.ndarray:
@@ -378,11 +370,11 @@ def boundary_proposition(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND
     adiag = A.a_diag
     b = float(A.b_cyclic[0])
     c = float(A.c_cyclic[0])
-    if c > 1e-12:
+    if c > PATTERN_ATOL:
         return not_applicable("requires zero c slots")
     if float(np.min(adiag)) <= 0.0:
         return not_applicable("requires strictly positive diagonal entries")
-    a_star = float(np.prod(adiag) ** (1.0 / 3.0))
+    a_star = geometric_means(A).a
     if abs(a_star + b - 2.0) >= 1e-9:
         return not_applicable(f"not on the boundary: a* + b = {a_star + b!r}")
 

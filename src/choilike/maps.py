@@ -41,10 +41,6 @@ class CoefficientMatrix:
     n: int
     a: np.ndarray
 
-    def entry(self, i: int, j: int) -> float:
-        """1-based entry access, matching the formula indexing."""
-        return float(self.a[i - 1, j - 1])
-
     @property
     def a_diag(self) -> np.ndarray:
         """Diagonal entries (a_1, ..., a_n)."""
@@ -103,9 +99,6 @@ class ScalingVector:
     def __post_init__(self):
         if len(self.p) != 3 or min(self.p) <= 0:
             raise ValueError("scaling vector needs three strictly positive entries")
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(np.asarray(self.p, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -206,10 +199,10 @@ def cp_check(A: CoefficientMatrix, tol: float = 1e-9) -> tuple[bool, float]:
     return (den - num) * tol_den >= -tol_num * den, (den - num) / den
 
 
-def structured_matrix(A: CoefficientMatrix) -> np.ndarray:
-    """The n x n Z-matrix T: T_ii = a_ii, T_ij = -max(0, 1 - sqrt(a_ij a_ji))."""
-    t = -np.maximum(0.0, 1.0 - np.sqrt(A.a * A.a.T))
-    np.fill_diagonal(t, np.diag(A.a))
+def structured_matrix(a: np.ndarray) -> np.ndarray:
+    """The n x n Z-matrix T of the entries a: T_ii = a_ii, T_ij = -max(0, 1 - sqrt(a_ij a_ji))."""
+    t = -np.maximum(0.0, 1.0 - np.sqrt(a * a.T))
+    np.fill_diagonal(t, np.diag(a))
     return t
 
 
@@ -305,7 +298,7 @@ def decomposition_check(A: CoefficientMatrix) -> tuple[bool, float]:
     at once; otherwise T is moved into the box by _box_certificate and its
     positivity is decided exactly by _rational_psd.  False proves nothing.
     """
-    t = structured_matrix(A)
+    t = structured_matrix(A.a)
     floor = float(np.linalg.eigvalsh(t)[0])
     if floor < -structured_rounding(A):
         return False, floor
@@ -388,9 +381,9 @@ def scaled_ckl_matrix(params: CklParams, scaling: ScalingVector) -> CoefficientM
     return validate_coefficients(out)
 
 
-def _all_close(values, atol: float = PATTERN_ATOL) -> bool:
+def _all_close(values) -> bool:
     v = np.asarray(values, dtype=float)
-    return bool(np.max(v) - np.min(v) <= atol)
+    return bool(np.max(v) - np.min(v) <= PATTERN_ATOL)
 
 
 def matches_constant_ckl(A: CoefficientMatrix) -> bool:

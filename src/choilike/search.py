@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .criteria import InternalInconsistencyError
+from .criteria import DEFAULT_MARGIN_BAND, InternalInconsistencyError
 from .linalg import (
     determinant,
     hermitian_eigenvalues,
@@ -61,11 +61,14 @@ MAX_STARTS = 4096
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """The settings of an analysis, checked in this order: tolerance, starts, seed."""
+    """The settings of an analysis, checked in this order: tolerance, starts, seed.
 
-    seed: int = 0
+    The defaults are those of the library and of the command line alike.
+    """
+
+    seed: int = 42
     starts: int = 64
-    violation_tolerance: float = 1e-9
+    violation_tolerance: float = DEFAULT_MARGIN_BAND
 
     def __post_init__(self):
         tol = self.violation_tolerance
@@ -436,24 +439,21 @@ def _structured_floor(A: CoefficientMatrix) -> float:
     is approached as a limit), whose state is positive when every pair in
     the support of its x has mu_ij > 0.
     """
-    return float(np.linalg.eigvalsh(structured_matrix(A))[0])
-
-
-def _shifted(a: np.ndarray, lam: float) -> np.ndarray:
-    """T_lam: the matrix T of the entries a_ij - lam."""
-    return structured_matrix(CoefficientMatrix(a.shape[0], a - lam))
+    return float(np.linalg.eigvalsh(structured_matrix(A.a))[0])
 
 
 def _structured_root(a: np.ndarray, floor: float) -> float:
     """The end of a bisection bracket on [floor, 0] where lambda_min(T_lam) < 0.
 
-    Every entry of T_lam falls as lam grows, and its diagonal with slope
-    -1, so lambda_min(T_lam) falls with slope at most -1: from floor < 0
-    at lam = 0 it is at least 0 at lam = floor, and its root lies between.
+    T_lam = structured_matrix(a - lam) is the matrix T of the entries
+    a_ij - lam.  Every entry of T_lam falls as lam grows, and its diagonal
+    with slope -1, so lambda_min(T_lam) falls with slope at most -1: from
+    floor < 0 at lam = 0 it is at least 0 at lam = floor, and its root
+    lies between.
     """
     lo, hi = floor, 0.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if np.linalg.eigvalsh(_shifted(a, mid))[0] < 0.0:
+        if np.linalg.eigvalsh(structured_matrix(a - mid))[0] < 0.0:
             hi = mid
         else:
             lo = mid
@@ -470,7 +470,7 @@ def _witness_profile(a: np.ndarray, lam: float) -> tuple[np.ndarray, int | None]
     mu_ij(lam) = 0 gets no cross term, so the (i,i) block is not x x^T;
     the index returned is then the endpoint of such a pair with least x_i.
     """
-    t = _shifted(a, lam)
+    t = structured_matrix(a - lam)
     x = np.abs(np.linalg.eigh(t)[1][:, 0])  # t is a Z-matrix: |v| is an eigenvector too
     coupled = t < 0.0
     alpha = np.where(coupled, np.outer(x, x) * np.sqrt((a - lam) / (a.T - lam)), 0.0)
@@ -483,7 +483,7 @@ def _witness_profile(a: np.ndarray, lam: float) -> tuple[np.ndarray, int | None]
 
 
 def indecomposability_probe(
-    A: CoefficientMatrix, tolerance: float = 1e-9
+    A: CoefficientMatrix, tolerance: float = DEFAULT_MARGIN_BAND
 ) -> PptWitnessCertificate | None:
     """The structured PPT state of least normalized pairing, in closed form.
 

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choilike import cli, criteria, search
-from choilike.cli import MAX_STARTS, main, read_matrix_file
+from choilike.cli import main, read_matrix_file
 from choilike.criteria import HOLDS, Verdict
 from choilike.maps import validate_coefficients
-from choilike.search import positivity_gap
+from choilike.search import MAX_STARTS, SearchConfig, positivity_gap
 
 CHOI = {"n": 3, "A": [[1, 0, 1], [1, 1, 0], [0, 1, 1]]}
 ALL_ONES = {"n": 3, "A": [[1, 1, 1], [1, 1, 1], [1, 1, 1]]}
@@ -247,6 +247,30 @@ class TestRunAnalysis:
         code, doc = run_json(capsys, "analyze", "-i", write(tmp_path, {"n": n, "A": a}))
         assert code == 0
         assert "indecomposable_proven" in doc["summary"] and "ppt_witness" in doc
+
+
+class TestDefaults:
+    """SearchConfig holds the only copy of the defaults of --seed, --starts and --tol."""
+
+    @pytest.mark.parametrize(
+        "argv", [["analyze", "-i", "a.json"], ["search", "-i", "a.json"], ["probe", "-i", "a.json"],
+                 ["reproduce", "choi"]],
+        ids=["analyze", "search", "probe", "reproduce"],
+    )
+    def test_parser_defaults_are_the_config_fields(self, argv):
+        args = cli._build_parser().parse_args(argv)
+        default = SearchConfig()
+        assert (args.seed, args.starts, args.tol) == (
+            default.seed, default.starts, default.violation_tolerance
+        )
+
+    def test_library_defaults_match_analyze_without_flags(self, tmp_path, capsys):
+        path = write(tmp_path, counterexample_payload())
+        assert main(["analyze", "-i", path, "--format", "json"]) == 0
+        from_cli = capsys.readouterr().out
+        A, x = read_matrix_file(path)
+        cli.emit(cli.run_analysis(A, SearchConfig(), "json", x), "json")
+        assert capsys.readouterr().out == from_cli
 
 
 class TestSearchAndProbe:

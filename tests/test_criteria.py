@@ -23,7 +23,6 @@ from choilike.criteria import (
     cyclic_necessary,
     full_report,
     kye_check,
-    n2_positive,
     pairwise_necessary,
     pairwise_sufficient,
     refuted,
@@ -296,16 +295,34 @@ class TestScalingOptimum:
 
 
 class TestN2:
-    def test_examples(self):
-        v = n2_positive(validate_coefficients(np.eye(2)))
-        assert v.margin == 0.0 and affirmative(v)
-        v = n2_positive(validate_coefficients([[0, 1], [1, 0]]))
-        assert v.margin == 0.0 and affirmative(v)
-        v = n2_positive(validate_coefficients([[0.25, 0.25], [0.25, 0.25]]))
-        assert v.status == FAILS and abs(v.margin + 0.5) < 1e-15
+    """At n = 2 both pairwise rows are the exact test sqrt(a11 a22) + sqrt(a12 a21) >= 1."""
 
-    def test_gate(self):
-        assert n2_positive(CHOI).status == NOT_APPLICABLE
+    @staticmethod
+    def _rows(raw):
+        a = validate_coefficients(raw)
+        ((_, necessary),) = pairwise_necessary(a)
+        ((_, sufficient),) = pairwise_sufficient(a)
+        return necessary, sufficient
+
+    def test_examples(self):
+        for raw in (np.eye(2), [[0, 1], [1, 0]]):
+            for v in self._rows(raw):
+                assert v.margin == 0.0 and affirmative(v)
+        for v in self._rows([[0.25, 0.25], [0.25, 0.25]]):
+            assert v.status == FAILS and abs(v.margin + 0.5) < 1e-15
+
+    def test_seeded_draws_carry_equal_margins(self):
+        rng = np.random.default_rng(2)
+        for _ in range(300):
+            raw = 2.0 * rng.random((2, 2)) * (rng.random((2, 2)) > 0.2)
+            necessary, sufficient = self._rows(raw)
+            assert necessary.margin == sufficient.margin
+            assert necessary.status == sufficient.status
+            summary = full_report(validate_coefficients(raw)).summary
+            if necessary.status == HOLDS:
+                assert "positive_proven" in summary
+            elif necessary.status == FAILS:
+                assert summary == ("not_positive_proven",)
 
 
 class TestBoundaryProposition:

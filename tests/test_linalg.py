@@ -21,8 +21,8 @@ def random_hermitian(rng, dim):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_jacobi_rotation_tiny_pivot_does_not_overflow(sign):
-    # an off-diagonal pivot 1e-200 below the diagonal gap must neither warn nor move the values
+def test_tiny_off_diagonal_beside_a_gap_does_not_overflow(sign):
+    # an off-diagonal entry 1e-200 beside a diagonal gap of 1 must neither warn nor move the values
     values = hermitian_eigenvalues([[0.0, 1e-200], [1e-200, sign]])
     assert np.array_equal(values, np.sort([0.0, sign]))
 

@@ -228,7 +228,7 @@ def _ckl_grid():
 
 
 def _certificate(a):
-    return _box_certificate(a, structured_matrix(a))
+    return _box_certificate(a, structured_matrix(a.a))
 
 
 # T is exactly singular on these: T = (3/2) I - J/2 at (1, 1/4, 1) on the boundary
@@ -302,7 +302,7 @@ class TestDecompositionCheck:
         a = validate_coefficients(raw)
         assert decomposition_check(a)[0]
         m = _certificate(a)
-        assert np.array_equal(m, structured_matrix(a))  # already inside the box
+        assert np.array_equal(m, structured_matrix(a.a))  # already inside the box
         assert _rational_psd(m)
         # mutation: a relative 2^-40 more on the off-diagonal leaves M indefinite
         off = ~np.eye(a.n, dtype=bool)
@@ -315,7 +315,7 @@ class TestDecompositionCheck:
         # 1 - fl(1 - fl(sqrt(fl(0.01 * 0.01)))) exceeds the exact sqrt, so 1 + T_12
         # starts outside the box; one step of one ulp moves it inside
         a = validate_coefficients([[1.0, 0.01], [0.01, 1.0]])
-        t = structured_matrix(a)
+        t = structured_matrix(a.a)
         box = Fraction(0.01) * Fraction(0.01)
         assert (1 + Fraction(float(t[0, 1]))) ** 2 > box
         m = _certificate(a)
@@ -402,7 +402,7 @@ class TestExactIntegerChecks:
             flag, slack = cp_check(a, tol)
             want_flag, want_slack = fraction_cp_check(a, tol)
             assert flag == want_flag and slack.hex() == want_slack.hex(), (a.a.tolist(), tol)
-        t = structured_matrix(a)
+        t = structured_matrix(a.a)
         m, want = _certificate(a), fraction_box_certificate(a, t)
         assert (m is None) == (want is None) and (m is None or np.array_equal(m, want))
         for mat in (t,) if m is None else (t, m):
@@ -427,7 +427,7 @@ class TestExactIntegerChecks:
         self._assert_same(validate_coefficients(raw))
         for nudged in _nudged(raw):
             self._assert_same(validate_coefficients(nudged))
-        for m in _nudged(structured_matrix(validate_coefficients(raw))):
+        for m in _nudged(structured_matrix(validate_coefficients(raw).a)):
             assert _rational_psd(m) == fraction_psd(m)
 
     def test_exactly_singular_matrices(self):

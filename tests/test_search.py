@@ -95,38 +95,42 @@ def _probe_seeds(A, starts, seed):
     return np.array(seeds)
 
 
-def pair_loop_probe(A, cfg):
+def descent_probe(A, cfg):
     """Multi-start projected-gradient descent over the structured profiles on the simplex.
 
-    An independent search of the same family as indecomposability_probe,
-    one Python step per index pair; the probe must find a witness
-    wherever this does."""
+    An independent search of the same family as indecomposability_probe;
+    the probe must find a witness wherever this does.  Each step runs on
+    the active starts only.  Sums run through a sequential cumsum in pair
+    order (diagonal gradient entries: increasing partner index), so every
+    float is rounded as in a plain loop over the pairs."""
     n = A.n
     cost = A.a.T
     alphas = _probe_seeds(A, cfg.starts, cfg.seed)
     S = alphas.shape[0]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    I, J = np.triu_indices(n, 1)
+    diag = np.arange(n)
     eps = 1e-14
 
     def values(al):
         v = (al * cost).sum(axis=(1, 2))
-        for i, j in pairs:
-            m1 = np.sqrt(al[:, i, i] * al[:, j, j])
-            m2 = np.sqrt(al[:, i, j] * al[:, j, i])
-            v = v - 2.0 * np.minimum(m1, m2)
-        return v
+        m = np.minimum(np.sqrt(al[:, I, I] * al[:, J, J]), np.sqrt(al[:, I, J] * al[:, J, I]))
+        return np.concatenate([v[:, None], -2.0 * m], axis=1).cumsum(axis=1)[:, -1]
 
     def gradients(al):
-        g = np.broadcast_to(cost, al.shape).copy()
         safe = np.maximum(al, eps)
-        for i, j in pairs:
-            m1 = np.sqrt(safe[:, i, i] * safe[:, j, j])
-            m2 = np.sqrt(safe[:, i, j] * safe[:, j, i])
-            use_diag = m1 <= m2
-            g[use_diag, i, i] -= np.sqrt(safe[use_diag, j, j] / safe[use_diag, i, i])
-            g[use_diag, j, j] -= np.sqrt(safe[use_diag, i, i] / safe[use_diag, j, j])
-            g[~use_diag, i, j] -= np.sqrt(safe[~use_diag, j, i] / safe[~use_diag, i, j])
-            g[~use_diag, j, i] -= np.sqrt(safe[~use_diag, i, j] / safe[~use_diag, j, i])
+        d = safe[:, diag, diag]
+        use_diag = np.sqrt(d[:, I] * d[:, J]) <= np.sqrt(safe[:, I, J] * safe[:, J, I])
+        diag_branch = np.zeros(al.shape, dtype=bool)  # pair {i, j} on its sqrt(al_ii al_jj) branch
+        diag_branch[:, I, J] = use_diag
+        diag_branch[:, J, I] = use_diag
+        cross_branch = ~diag_branch
+        cross_branch[:, diag, diag] = False
+        # each off-diagonal entry takes the term of its own pair only
+        g = cost - np.where(cross_branch, np.sqrt(safe.transpose(0, 2, 1) / safe), 0.0)
+        # g[i, i] takes sqrt(alpha_jj / alpha_ii) from every pair {i, j} on the diagonal branch
+        terms = np.where(diag_branch, np.sqrt(d[:, None, :] / d[:, :, None]), 0.0)
+        start = np.broadcast_to(cost[diag, diag], d.shape)[:, :, None]
+        g[:, diag, diag] = np.concatenate([start, -terms], axis=2).cumsum(axis=2)[:, :, -1]
         return g
 
     F = values(alphas)
@@ -135,18 +139,21 @@ def pair_loop_probe(A, cfg):
     flat = alphas.reshape(S, n * n)
 
     for _ in range(_MAX_ITERATIONS):
-        if not np.any(active):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
             break
-        grad = gradients(flat.reshape(S, n, n)).reshape(S, n * n)
-        proposal = _project_simplex_rows(flat - step[:, None] * grad)
-        newF = values(proposal.reshape(S, n, n))
-        improved = active & (newF < F)
-        flat = np.where(improved[:, None], proposal, flat)
-        gain = np.where(improved, F - newF, 0.0)
-        F = np.where(improved, newF, F)
-        step = np.where(improved, step * _GROW, np.where(active, step * _SHRINK, step))
-        active = active & ~(improved & (gain < _STEP_TOLERANCE))
-        active = active & (step > _STEP_FLOOR)
+        cur = flat[rows]
+        grad = gradients(cur.reshape(-1, n, n)).reshape(-1, n * n)
+        proposal = _project_simplex_rows(cur - step[rows, None] * grad)
+        newF = values(proposal.reshape(-1, n, n))
+        improved = newF < F[rows]
+        gain = F[rows] - newF
+        won = rows[improved]
+        flat[won] = proposal[improved]
+        F[won] = newF[improved]
+        step[rows] = np.where(improved, step[rows] * _GROW, step[rows] * _SHRINK)
+        active[rows[improved & (gain < _STEP_TOLERANCE)]] = False
+        active &= step > _STEP_FLOOR
 
     best = int(np.argmin(F))
     alpha = flat[best].reshape(n, n)
@@ -813,7 +820,7 @@ class TestIndecomposabilityProbe:
             cert = indecomposability_probe(kye_matrix(KyeParams(a_val, c, c, c)))
             assert cert is not None and cert.normalized_value < -1e-9
 
-    def test_deterministic_for_fixed_seed(self):
+    def test_repeated_calls_agree(self):
         c1 = indecomposability_probe(CHOI)
         c2 = indecomposability_probe(CHOI)
         assert c1.trace_value == c2.trace_value
@@ -875,7 +882,7 @@ def test_probe_matches_pair_loop_bit_for_bit(name, raw, seed):
     # wherever the multi-start descent does, and one at least as good
     a = validate_coefficients(raw)
     cfg = SearchConfig(seed=seed)
-    expected = pair_loop_probe(a, cfg)
+    expected = descent_probe(a, cfg)
     got = indecomposability_probe(a, cfg.violation_tolerance)
     if expected is not None:
         assert got is not None
@@ -1090,7 +1097,7 @@ class TestClosedFormOptimum:
         cert = indecomposability_probe(PRUNED)
         _verified(PRUNED, cert)
         assert not cert.state.alpha[4].any() and not cert.state.alpha[:, 4].any()
-        # pair_loop_probe reaches only -0.0106 here
+        # descent_probe reaches only -0.0106 here
         assert cert.normalized_value == pytest.approx(-0.1137738344464334, abs=1e-12)
 
     @pytest.mark.parametrize(
