@@ -5,8 +5,9 @@ Input files are UTF-8 JSON objects {"n": int, "A": [[...], ...]}, with
 reals or [re, im] pairs.  Each entry of A is 0 or in [1e-50, 1e50]
 (maps.COEFFICIENT_RANGE), after entries in (-1e-12, 0) become 0.
 Reports are emitted as JSON with fixed field names or as a plain-text
-table; identical invocations (same file, flags and seed) produce
-byte-identical output.
+table; identical invocations (same file and flags) produce
+byte-identical output.  The tolerance (--tol) is the only analysis
+setting.
 
 Exit codes: 0 analysis completed (whatever the verdict), 1 unreadable or
 invalid input or command line, 2 internal inconsistency (two criteria
@@ -25,23 +26,25 @@ import numpy as np
 
 from . import __version__
 from .criteria import (
+    DEFAULT_MARGIN_BAND,
     HOLDS,
     ConditionReport,
     InternalInconsistencyError,
     affirmative,
     full_report,
+    require_tolerance,
     summarize,
 )
 from .linalg import outer_product, require_hermitian
 from .maps import (
     CoefficientMatrix,
     KyeParams,
+    geometric_means,
     kye_matrix,
     validate_coefficients,
 )
 from .search import (
     PptWitnessCertificate,
-    SearchConfig,
     ViolationCertificate,
     find_positivity_violation,
     indecomposability_probe,
@@ -52,16 +55,6 @@ from .search import (
 MAX_SIDE = 16
 # how many values each reproduction name reads from --a; the other names read none
 _A_COUNTS = {"boundary": 3, "kye-boundary": 1}
-
-
-def _config_dict(cfg: SearchConfig, output_format: str) -> dict:
-    """The settings echoed in every report, in a fixed key order."""
-    return {
-        "tolerance": cfg.violation_tolerance,
-        "seed": cfg.seed,
-        "starts": cfg.starts,
-        "format": output_format,
-    }
 
 
 def _reject_non_finite(token: str):
@@ -139,7 +132,8 @@ def build_document(
     report: ConditionReport | None,
     violation: ViolationCertificate | None,
     witness: PptWitnessCertificate | None,
-    config: dict,
+    tolerance: float,
+    output_format: str,
     summary: tuple[str, ...],
     extra: dict | None = None,
 ) -> dict:
@@ -156,7 +150,7 @@ def build_document(
         doc["violation_certificate"] = _violation_dict(violation)
     if witness is not None:
         doc["ppt_witness"] = _witness_dict(witness)
-    doc["config"] = config
+    doc["config"] = {"tolerance": tolerance, "format": output_format}
     doc["version"] = __version__
     return doc
 
@@ -210,24 +204,24 @@ def emit(doc: dict, fmt: str) -> None:
 
 
 def run_analysis(
-    A: CoefficientMatrix, cfg: SearchConfig, output_format: str, x: np.ndarray | None = None
+    A: CoefficientMatrix, tolerance: float, output_format: str, x: np.ndarray | None = None
 ) -> dict:
     """Full criteria report plus certificate searches.
 
     A certificate joins a copy of the report's proofs, and the flags come
     from the same ``summarize`` as the report's own.
     """
-    report = full_report(A, band=cfg.violation_tolerance)
+    report = full_report(A, band=tolerance)
     proofs = {prop: list(names) for prop, names in report.proofs.items()}
     # an exactly verified decomposition leaves no violation to find
     violation = None
     if report.verdict("structured_decomposition").status != HOLDS:
-        violation = find_positivity_violation(A, cfg)
+        violation = find_positivity_violation(A, tolerance)
     witness = None
     if violation is not None:
         proofs["not_positive"].append("violation_certificate")
     elif not proofs["not_positive"]:
-        witness = indecomposability_probe(A, cfg.violation_tolerance)
+        witness = indecomposability_probe(A, tolerance)
         if witness is not None:
             proofs["indecomposable"].append("ppt_witness")
     summary = summarize(proofs, affirmative(report.verdict("cp")))
@@ -241,27 +235,26 @@ def run_analysis(
                 "image_psd": chk.psd,
             }
         }
-    config = _config_dict(cfg, output_format)
-    return build_document(A, report, violation, witness, config, summary, extra)
+    return build_document(A, report, violation, witness, tolerance, output_format, summary, extra)
 
 
-def cmd_analyze(path: str, cfg: SearchConfig, output_format: str) -> dict:
+def cmd_analyze(path: str, tolerance: float, output_format: str) -> dict:
     A, x = read_matrix_file(path)
-    return run_analysis(A, cfg, output_format, x)
+    return run_analysis(A, tolerance, output_format, x)
 
 
-def cmd_search(path: str, cfg: SearchConfig, output_format: str) -> dict:
+def cmd_search(path: str, tolerance: float, output_format: str) -> dict:
     A, _ = read_matrix_file(path)
-    violation = find_positivity_violation(A, cfg)
+    violation = find_positivity_violation(A, tolerance)
     summary = ("not_positive_proven",) if violation else ("inconclusive",)
-    return build_document(A, None, violation, None, _config_dict(cfg, output_format), summary)
+    return build_document(A, None, violation, None, tolerance, output_format, summary)
 
 
-def cmd_probe(path: str, cfg: SearchConfig, output_format: str) -> dict:
+def cmd_probe(path: str, tolerance: float, output_format: str) -> dict:
     A, _ = read_matrix_file(path)
-    witness = indecomposability_probe(A, cfg.violation_tolerance)
+    witness = indecomposability_probe(A, tolerance)
     summary = ("indecomposable_proven",) if witness else ("inconclusive",)
-    return build_document(A, None, None, witness, _config_dict(cfg, output_format), summary)
+    return build_document(A, None, None, witness, tolerance, output_format, summary)
 
 
 def counterexample_instance() -> tuple[CoefficientMatrix, np.ndarray]:
@@ -279,15 +272,15 @@ def _witness_headline(doc: dict) -> str:
 
 
 def cmd_reproduce(
-    name: str, cfg: SearchConfig, output_format: str, a_params: list[float] | None
+    name: str, tolerance: float, output_format: str, a_params: list[float] | None
 ) -> dict:
     if name == "choi":
         A = validate_coefficients([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
-        doc = run_analysis(A, cfg, output_format)
+        doc = run_analysis(A, tolerance, output_format)
         doc["headline"] = _witness_headline(doc)
     elif name == "example5":
         A, x = counterexample_instance()
-        doc = run_analysis(A, cfg, output_format, x)
+        doc = run_analysis(A, tolerance, output_format, x)
         chk = doc["counterexample_check"]
         doc["headline"] = (
             "det(image of the rank-one input) = %.9f (input psd: %s, image psd: %s)"
@@ -297,12 +290,12 @@ def cmd_reproduce(
         a1, a2, a3 = a_params if a_params else (0.5, 1.0, 2.0)
         if min(a1, a2, a3) <= 0:
             raise ValueError("boundary diagonals must be strictly positive")
-        a_star = (a1 * a2 * a3) ** (1.0 / 3.0)
+        a_star = geometric_means(validate_coefficients(np.diag([a1, a2, a3]))).a
         b = 2.0 - a_star
         if b < 0:
             raise ValueError(f"a* = {a_star} exceeds 2; no boundary instance")
         A = validate_coefficients([[a1, b, 0.0], [0.0, a2, b], [b, 0.0, a3]])
-        doc = run_analysis(A, cfg, output_format)
+        doc = run_analysis(A, tolerance, output_format)
         row = next(c for c in doc["conditions"] if c["name"] == "boundary_proposition")
         doc["headline"] = f"boundary determinant check: {row['detail']}"
     elif name == "kye-boundary":
@@ -311,7 +304,7 @@ def cmd_reproduce(
             raise ValueError("kye boundary needs 0 <= a <= 2")
         c = 2.0 - a
         A = kye_matrix(KyeParams(a, c, c, c))
-        doc = run_analysis(A, cfg, output_format)
+        doc = run_analysis(A, tolerance, output_format)
         doc["headline"] = _witness_headline(doc)
     else:
         raise ValueError(f"unknown reproduction name {name!r}")
@@ -334,7 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    default = SearchConfig()
 
     def add_common(p, with_input=True):
         if with_input:
@@ -342,11 +334,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--tol",
             type=float,
-            default=default.violation_tolerance,
+            default=DEFAULT_MARGIN_BAND,
             help="margin band / violation tolerance",
         )
-        p.add_argument("--seed", type=int, default=default.seed, help="search seed")
-        p.add_argument("--starts", type=int, default=default.starts, help="number of search starts")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     add_common(sub.add_parser("analyze", help="full criteria report plus certificate searches"))
@@ -362,17 +352,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = SearchConfig(seed=args.seed, starts=args.starts, violation_tolerance=args.tol)
+        require_tolerance(args.tol)
         if args.command == "reproduce":
             count = _A_COUNTS.get(args.name, 0)
             if args.a is not None and len(args.a) != count:
                 raise ValueError(
                     f"reproduce {args.name} takes {count} value(s) via --a, got {len(args.a)}"
                 )
-            doc = cmd_reproduce(args.name, cfg, args.format, args.a)
+            doc = cmd_reproduce(args.name, args.tol, args.format, args.a)
         else:
             runner = {"analyze": cmd_analyze, "search": cmd_search, "probe": cmd_probe}
-            doc = runner[args.command](args.input, cfg, args.format)
+            doc = runner[args.command](args.input, args.tol, args.format)
     except InternalInconsistencyError as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return 2

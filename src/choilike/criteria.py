@@ -49,6 +49,12 @@ MARGINAL = "marginal"
 DEFAULT_MARGIN_BAND = 1e-9
 
 
+def require_tolerance(tolerance: float) -> None:
+    """Refuse a margin band or search tolerance that is not finite and positive."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+
+
 class InternalInconsistencyError(RuntimeError):
     """Two proven criteria contradicted each other: an implementation bug."""
 
@@ -375,7 +381,7 @@ def boundary_proposition(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND
     if float(np.min(adiag)) <= 0.0:
         return not_applicable("requires strictly positive diagonal entries")
     a_star = geometric_means(A).a
-    if abs(a_star + b - 2.0) >= 1e-9:
+    if abs(a_star + b - 2.0) >= band:
         return not_applicable(f"not on the boundary: a* + b = {a_star + b!r}")
 
     a_bar = float(np.mean(adiag))
@@ -475,9 +481,8 @@ def full_report(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Cond
             proofs[prop].append(name)
 
     form = classify_form(A)
-    _, cp_slack = cp_check(A, tol=band)
     cp_verdict = make_verdict(
-        cp_slack, band, "Schur slack 1 - sum_i 1/(1 + a_ii) of the coupled submatrix"
+        cp_check(A), band, "Schur slack 1 - sum_i 1/(1 + a_ii) of the coupled submatrix"
     )
     add("cp", cp_verdict, holds=("positive", "decomposable"))
 

@@ -179,8 +179,8 @@ def choi_matrix(A: CoefficientMatrix) -> np.ndarray:
     return c
 
 
-def cp_check(A: CoefficientMatrix, tol: float = 1e-9) -> tuple[bool, float]:
-    """Complete-positivity test: (slack >= -tol, slack), slack = 1 - sum_i 1/(1 + a_ii).
+def cp_check(A: CoefficientMatrix) -> float:
+    """Complete-positivity slack 1 - sum_i 1/(1 + a_ii), with its sign exact.
 
     The block matrix of Phi_A is positive semidefinite exactly when the
     coupled n x n submatrix diag(1 + a_ii) - J (J all ones) is: every
@@ -195,8 +195,7 @@ def cp_check(A: CoefficientMatrix, tol: float = 1e-9) -> tuple[bool, float]:
     for a in A.a_diag.tolist():
         p, q = a.as_integer_ratio()
         num, den = num * (q + p) + q * den, den * (q + p)
-    tol_num, tol_den = tol.as_integer_ratio()
-    return (den - num) * tol_den >= -tol_num * den, (den - num) / den
+    return (den - num) / den
 
 
 def structured_matrix(a: np.ndarray) -> np.ndarray:

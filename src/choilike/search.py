@@ -13,15 +13,15 @@ Two one-sided certificate families are produced here:
 
 The violation search is multi-start projected gradient descent over q,
 with the best p for each q in closed form, an n x n least eigenvector.
-Per-start randomness comes from counter-based streams derived from
-(seed, start index) and the final answer is the lexicographic minimum
-over (value, start index), so results are bit-identical for a fixed
-seed regardless of scheduling.  The witness probe has no starts and no
-randomness: it takes the closed-form optimum of its structured family,
-the root of an n x n eigenvalue in one scalar, and verifies the witness
-on the n x n and 2 x 2 blocks into which the state and its partial
-transpose split, without building a matrix of side n^2.  Absence of a
-certificate proves nothing.
+Its starts are a fixed function of A: the closed-form pair seeds, then
+rows from one generator with a fixed seed, built anew in every call.
+The final answer is the lexicographic minimum over (value, start
+index), so results are bit-identical for a given A.  The witness probe
+has no starts and no randomness: it takes the closed-form optimum of its
+structured family, the root of an n x n eigenvalue in one scalar, and
+verifies the witness on the n x n and 2 x 2 blocks into which the state
+and its partial transpose split, without building a matrix of side n^2.
+Absence of a certificate proves nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .criteria import DEFAULT_MARGIN_BAND, InternalInconsistencyError
+from .criteria import DEFAULT_MARGIN_BAND, InternalInconsistencyError, require_tolerance
 from .linalg import (
     determinant,
     hermitian_eigenvalues,
@@ -55,29 +55,7 @@ _MAX_ITERATIONS = 2000
 _STEP_TOLERANCE = 1e-12  # a start whose accepted step gains less than this stops
 _SETTLED_REL = 1e-4
 _UNIT_ROUNDING = 2.0 ** -52  # spacing of doubles just above 1: the least move of a unit q
-# each step of the violation search solves one stacked n x n eigenproblem per moving start
-MAX_STARTS = 4096
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """The settings of an analysis, checked in this order: tolerance, starts, seed.
-
-    The defaults are those of the library and of the command line alike.
-    """
-
-    seed: int = 42
-    starts: int = 64
-    violation_tolerance: float = DEFAULT_MARGIN_BAND
-
-    def __post_init__(self):
-        tol = self.violation_tolerance
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
-        if not 1 <= self.starts <= MAX_STARTS:
-            raise ValueError(f"starts must be between 1 and {MAX_STARTS}, got {self.starts}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+_STARTS = 64
 
 
 @dataclass(frozen=True)
@@ -192,6 +170,18 @@ def _pair_seeds(A: CoefficientMatrix) -> list[np.ndarray]:
     return seeds
 
 
+def _start_points(A: CoefficientMatrix) -> np.ndarray:
+    """The _STARTS rows q of the violation search: pair seeds first, then random points.
+
+    The random rows are -log of uniform draws, normalized, from a generator
+    with a fixed seed built here, so that no call sees the state another
+    call left behind and the start set is a function of A alone.
+    """
+    seeds = np.reshape(_pair_seeds(A)[:_STARTS], (-1, A.n))
+    draws = -np.log(np.random.default_rng(42).random((_STARTS - len(seeds), A.n)))
+    return np.concatenate([seeds, draws / np.linalg.norm(draws, axis=1, keepdims=True)])
+
+
 def _project_unit_nonneg(mat: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Clamp negatives to zero and renormalize rows; dead rows keep the fallback."""
     clip = np.maximum(mat, 0.0)
@@ -246,7 +236,7 @@ def _eliminate_p(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 def find_positivity_violation(
-    A: CoefficientMatrix, cfg: SearchConfig = SearchConfig()
+    A: CoefficientMatrix, tolerance: float = DEFAULT_MARGIN_BAND
 ) -> ViolationCertificate | None:
     """Multi-start projected gradient search for a negative positivity gap.
 
@@ -256,17 +246,17 @@ def find_positivity_violation(
     lambda_min(M(q)), attained at p = |v|.  The descent therefore runs over
     q alone, each step solving the stacked eigenproblems of the active
     starts, and by the envelope theorem the gradient of lambda_min(M(q))
-    is the gradient of the gap in q at that p.  Starts are the closed-form
-    pair-supported points plus uniform simplex samples; the projection
-    clamps negatives and renormalizes.  Returns the best certificate, unit
-    p, q >= 0, when the gap evaluated there is below -violation_tolerance,
-    otherwise None (which proves nothing).
+    is the gradient of the gap in q at that p.  The starts are those of
+    _start_points; the projection clamps negatives and renormalizes.
+    Returns the best certificate, unit p, q >= 0, when the gap evaluated
+    there is below -tolerance, otherwise None (which proves nothing).  A
+    tolerance that is not finite and positive raises ValueError.
 
     Early exit.  The search first returns None when decomposition_check
     verifies a decomposition of the map exactly.  A decomposable map is
     positive, so the gap is nonnegative at every (p, q) and the full
     descent would end with a gap that is nonnegative up to its rounding,
-    above -violation_tolerance, and return None too.  Only this exactly
+    above -tolerance, and return None too.  Only this exactly
     checked certificate ends the search: after a proof by formula alone
     the descent still runs, as the cross-check that exposes a wrong
     theorem.
@@ -284,21 +274,15 @@ def find_positivity_violation(
     whether one is returned is the same as after the full descent; only
     its last digits may differ.
     """
+    require_tolerance(tolerance)
     if decomposition_check(A)[0]:
         return None
-    n = A.n
-    w = A.a + np.eye(n)
-    starts = cfg.starts
-
-    qs = _pair_seeds(A)[:starts]
-    for s in range(len(qs), starts):
-        q = -np.log(np.random.default_rng((cfg.seed, s)).random(n))
-        qs.append(q / np.linalg.norm(q))
-    Q = np.array(qs)
+    w = A.a + np.eye(A.n)
+    Q = _start_points(A)
     G, P, grad = _eliminate_p(w, Q)
-    step = np.full(starts, 0.25)
-    active = np.ones(starts, dtype=bool)
-    last_gain = np.full(starts, np.inf)  # gain of each start's latest accepted step
+    step = np.full(_STARTS, 0.25)
+    active = np.ones(_STARTS, dtype=bool)
+    last_gain = np.full(_STARTS, np.inf)  # gain of each start's latest accepted step
 
     for it in range(_MAX_ITERATIONS):
         if not np.any(active):
@@ -316,13 +300,13 @@ def find_positivity_violation(
         moves = step[run] * np.abs(_tangent_gradient(Q[run], grad[run])).max(axis=1)
         active[run] &= moves > _UNIT_ROUNDING
         remaining = _MAX_ITERATIONS - it
-        if _descent_settled(G, active, last_gain, remaining, cfg.violation_tolerance):
+        if _descent_settled(G, active, last_gain, remaining, tolerance):
             break
 
     best = int(np.argmin(G))  # first minimal index: lexicographic (value, start)
     p_best, q_best = P[best], Q[best]
     gap = positivity_gap(A, p_best, q_best)
-    if gap >= -cfg.violation_tolerance:
+    if gap >= -tolerance:
         return None
     residual = float(hermitian_eigenvalues(apply_map(A, outer_product(q_best)))[0])
     return ViolationCertificate(p=p_best, q=q_best, gap=gap, residual_check=residual)

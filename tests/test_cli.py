@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from choilike import cli, criteria, search
 from choilike.cli import main, read_matrix_file
-from choilike.criteria import HOLDS, Verdict
+from choilike.criteria import DEFAULT_MARGIN_BAND, HOLDS, Verdict
 from choilike.maps import validate_coefficients
-from choilike.search import MAX_STARTS, SearchConfig, positivity_gap
+from choilike.search import positivity_gap
 
 CHOI = {"n": 3, "A": [[1, 0, 1], [1, 1, 0], [0, 1, 1]]}
 ALL_ONES = {"n": 3, "A": [[1, 1, 1], [1, 1, 1], [1, 1, 1]]}
@@ -220,7 +220,7 @@ class TestRunAnalysis:
         # generalized Choi map n = 4: no criterion proves anything, the probe finds a witness
         a = [[2.375 if i == j else 1.0 if j == (i - 1) % 4 else 0.0 for j in range(4)]
              for i in range(4)]
-        doc = cli.run_analysis(validate_coefficients(a), search.SearchConfig(seed=42), "text")
+        doc = cli.run_analysis(validate_coefficients(a), DEFAULT_MARGIN_BAND, "text")
         assert doc["summary"] == ["inconclusive", "indecomposable_proven"]
         assert "ppt_witness" in doc and "violation_certificate" not in doc
 
@@ -250,7 +250,7 @@ class TestRunAnalysis:
 
 
 class TestDefaults:
-    """SearchConfig holds the only copy of the defaults of --seed, --starts and --tol."""
+    """criteria.DEFAULT_MARGIN_BAND is the only copy of the default of --tol."""
 
     @pytest.mark.parametrize(
         "argv", [["analyze", "-i", "a.json"], ["search", "-i", "a.json"], ["probe", "-i", "a.json"],
@@ -259,17 +259,14 @@ class TestDefaults:
     )
     def test_parser_defaults_are_the_config_fields(self, argv):
         args = cli._build_parser().parse_args(argv)
-        default = SearchConfig()
-        assert (args.seed, args.starts, args.tol) == (
-            default.seed, default.starts, default.violation_tolerance
-        )
+        assert args.tol == DEFAULT_MARGIN_BAND
 
     def test_library_defaults_match_analyze_without_flags(self, tmp_path, capsys):
         path = write(tmp_path, counterexample_payload())
         assert main(["analyze", "-i", path, "--format", "json"]) == 0
         from_cli = capsys.readouterr().out
         A, x = read_matrix_file(path)
-        cli.emit(cli.run_analysis(A, SearchConfig(), "json", x), "json")
+        cli.emit(cli.run_analysis(A, DEFAULT_MARGIN_BAND, "json", x), "json")
         assert capsys.readouterr().out == from_cli
 
 
@@ -294,20 +291,13 @@ class TestSearchAndProbe:
         assert code == 0
         assert doc["summary"] == ["indecomposable_proven"]
         assert doc["ppt_witness"]["normalized_value"] <= -1 / 7 + 1e-6
+        assert doc["config"] == {"tolerance": 1e-9, "format": "json"}
 
     def test_probe_inconclusive(self, tmp_path, capsys):
         path = write(tmp_path, ALL_ONES)
         code, doc = run_json(capsys, "probe", "-i", path)
         assert code == 0
         assert doc["summary"] == ["inconclusive"]
-
-    def test_probe_independent_of_seed_and_starts(self, tmp_path, capsys):
-        path = write(tmp_path, CHOI)
-        _, base = run_json(capsys, "probe", "-i", path)
-        code, doc = run_json(capsys, "probe", "-i", path, "--seed", "0", "--starts", "1")
-        assert code == 0
-        assert doc["ppt_witness"] == base["ppt_witness"]
-        assert (doc["config"]["seed"], doc["config"]["starts"]) == (0, 1)
 
 
 class TestReproduce:
@@ -329,6 +319,13 @@ class TestReproduce:
         assert code == 0
         assert "positive_proven" in doc["summary"]
         assert "D_formula = 0.0" in doc["headline"]
+
+    @pytest.mark.filterwarnings("error")  # the product of the 1e300s must not overflow
+    @pytest.mark.parametrize("values", [["1e300", "1e300", "1e300"], ["1e60", "1", "1"]])
+    def test_boundary_diagonal_outside_the_range_exits_one(self, capsys, values):
+        assert main(["reproduce", "boundary", "--a", *values]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: nonzero coefficient a[1][1] = ") and "outside" in err
 
     def test_kye_boundary(self, capsys):
         code, doc = run_json(capsys, "reproduce", "kye-boundary")
@@ -466,15 +463,8 @@ class TestErrors:
             (["--tol", "inf"], "error: tolerance must be finite and positive"),
             (["--tol=-inf"], "error: tolerance must be finite and positive"),
             (["--tol", "0"], "error: tolerance must be finite and positive"),
-            (["--starts", "0"], f"error: starts must be between 1 and {MAX_STARTS}"),
-            (["--starts", str(MAX_STARTS + 1)], f"error: starts must be between 1 and {MAX_STARTS}"),
-            (["--seed", "-5"], "error: seed must be nonnegative"),
-            # checked in the order tolerance, starts, seed
-            (["--tol=-1", "--starts", "0"], "error: tolerance must be finite and positive"),
-            (["--starts", "0", "--seed", "-1"], "error: starts must be between 1 and"),
         ],
-        ids=["tol-nan", "tol-inf", "tol-minus-inf", "tol-zero", "starts-zero", "starts-above-cap",
-             "seed-negative", "tol-before-starts", "starts-before-seed"],
+        ids=["tol-nan", "tol-inf", "tol-minus-inf", "tol-zero"],
     )
     def test_bad_settings_refused_before_any_work(
         self, tmp_path, capsys, monkeypatch, command, flags, message
@@ -501,9 +491,13 @@ class TestErrors:
             ["reproduce", "nope"],
             ["analyze", "-i", "a.json", "--format", "yaml"],
             [],
+            # the search takes no seed and no start count: both flags are gone
+            ["analyze", "-i", "a.json", "--seed", "42"],
+            ["search", "-i", "a.json", "--starts", "64"],
+            ["reproduce", "choi", "--seed", "42"],
         ],
         ids=["no-input", "tol-not-a-number", "seed-not-an-integer", "unknown-name", "bad-format",
-             "no-command"],
+             "no-command", "seed-removed", "starts-removed", "reproduce-seed-removed"],
     )
     def test_usage_errors_exit_one(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -628,7 +622,7 @@ class TestCachedParser:
         return [
             ["analyze", "-i", choi, "--format", "json"],
             ["search", "-i", ones],
-            ["probe", "-i", choi, "--format", "json", "--seed", "3"],
+            ["probe", "-i", choi, "--format", "json", "--tol", "1e-6"],
             ["reproduce", "example5"],
         ]
 
@@ -650,7 +644,7 @@ class TestCachedParser:
         assert main(argv) == 0
         first = capsys.readouterr().out
         with pytest.raises(SystemExit) as exc:
-            main(["analyze", "-i", argv[2], "--starts", "many"])
+            main(["analyze", "-i", argv[2], "--tol", "many"])
         assert exc.value.code == 1
         assert capsys.readouterr().err.startswith("usage: choilike analyze")
         with pytest.raises(SystemExit) as exc:
@@ -674,7 +668,7 @@ class TestCachedParser:
 class TestDeterminism:
     def test_repeated_invocations_byte_identical(self, tmp_path, capsys):
         path = write(tmp_path, counterexample_payload())
-        argv = ["analyze", "-i", path, "--seed", "42", "--format", "json"]
+        argv = ["analyze", "-i", path, "--format", "json"]
         code1, out1 = main(argv), capsys.readouterr().out
         code2, out2 = main(argv), capsys.readouterr().out
         assert code1 == code2 == 0
@@ -686,8 +680,7 @@ class TestDeterminism:
         for hash_seed in ("0", "31337"):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed)
             proc = subprocess.run(
-                [sys.executable, "-m", "choilike.cli", "analyze", "-i", path,
-                 "--seed", "42", "--format", "json"],
+                [sys.executable, "-m", "choilike.cli", "analyze", "-i", path, "--format", "json"],
                 capture_output=True, env=env, check=True,
             )
             outputs.append(proc.stdout)

@@ -185,12 +185,10 @@ class TestChoiMatrix:
 class TestCpCheck:
     def test_examples(self):
         # the margin is the Schur slack 1 - sum_i 1/(1 + a_ii)
-        flag, slack = cp_check(constant_ckl_matrix(CklParams(2, 0, 0)))
-        assert flag and abs(slack) < 1e-12
-        flag, slack = cp_check(validate_coefficients(CHOI))
-        assert not flag and abs(slack + 0.5) < 1e-12
-        flag, slack = cp_check(constant_ckl_matrix(CklParams(1.9, 0, 0)))
-        assert not flag and abs(slack - (1 - 3 / 2.9)) < 1e-12
+        assert cp_check(constant_ckl_matrix(CklParams(2, 0, 0))) == 0.0
+        assert abs(cp_check(validate_coefficients(CHOI)) + 0.5) < 1e-12
+        slack = cp_check(constant_ckl_matrix(CklParams(1.9, 0, 0)))
+        assert slack < 0.0 and abs(slack - (1 - 3 / 2.9)) < 1e-12
 
     def test_boundary_slack_is_exactly_zero(self):
         # a = 2 on the constant cyclic grid, and a_ii = n - 1 for any
@@ -204,7 +202,7 @@ class TestCpCheck:
             mats.append(validate_coefficients(raw))
         assert len(mats) == 169 + 7
         for a in mats:
-            assert cp_check(a) == (True, 0.0)
+            assert cp_check(a) == 0.0
             assert "cp_proven" in full_report(a).summary
 
     def test_agrees_with_full_block_psd(self):
@@ -214,11 +212,11 @@ class TestCpCheck:
             n = int(rng.integers(2, 5))
             raw = rng.random((n, n)) * 4
             a = validate_coefficients(raw)
-            reduced_flag, reduced_min = cp_check(a, tol=1e-9)
-            if abs(reduced_min) < 1e-6:
+            slack = cp_check(a)
+            if abs(slack) < 1e-6:
                 continue
             full_flag, _ = is_psd(choi_matrix(a), tol=1e-9)
-            assert reduced_flag == full_flag
+            assert (slack >= 0.0) == full_flag
             checked += 1
 
 
@@ -377,10 +375,9 @@ def fraction_psd(m):
     return True
 
 
-def fraction_cp_check(A, tol):
+def fraction_cp_slack(A):
     """Reference for maps.cp_check: the slack summed in Fraction."""
-    slack = 1 - sum(1 / (1 + Fraction(float(a))) for a in A.a_diag)
-    return slack >= -tol, float(slack)
+    return float(1 - sum(1 / (1 + Fraction(float(a))) for a in A.a_diag))
 
 
 def _nudged(raw):
@@ -394,14 +391,9 @@ def _nudged(raw):
 class TestExactIntegerChecks:
     """The dyadic-integer checks decide exactly what the Fraction forms decide."""
 
-    TOLS = (1e-9, 1e-300)
-
-    @classmethod
-    def _assert_same(cls, a):
-        for tol in cls.TOLS:
-            flag, slack = cp_check(a, tol)
-            want_flag, want_slack = fraction_cp_check(a, tol)
-            assert flag == want_flag and slack.hex() == want_slack.hex(), (a.a.tolist(), tol)
+    @staticmethod
+    def _assert_same(a):
+        assert cp_check(a).hex() == fraction_cp_slack(a).hex(), a.a.tolist()
         t = structured_matrix(a.a)
         m, want = _certificate(a), fraction_box_certificate(a, t)
         assert (m is None) == (want is None) and (m is None or np.array_equal(m, want))
@@ -450,10 +442,13 @@ class TestExactIntegerChecks:
         assert verdicts.count((1, False)) > 0
 
     def test_cp_flag_at_slack_equal_to_minus_tol(self):
-        # a = (0, 1) gives slack 1 - 1 - 1/2 = -1/2 exactly
+        # a = (0, 1) gives slack 1 - 1 - 1/2 = -1/2 exactly, so the cp row
+        # leaves the marginal band exactly at band 1/2
         a = validate_coefficients([[0.0, 0.3], [0.7, 1.0]])
-        for tol in (0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)):
-            assert cp_check(a, tol) == fraction_cp_check(a, tol) == (tol >= 0.5, -0.5)
+        assert cp_check(a) == fraction_cp_slack(a) == -0.5
+        for band, status in ((0.5, "fails"), (np.nextafter(0.5, 0.0), "fails"),
+                             (np.nextafter(0.5, 1.0), "marginal")):
+            assert full_report(a, band).verdict("cp").status == status
 
     def test_cp_diagonals_at_n_minus_one(self):
         rng = np.random.default_rng(1414)
@@ -465,10 +460,7 @@ class TestExactIntegerChecks:
                 for d in (n - 1, np.nextafter(n - 1, 0), np.nextafter(n - 1, n)):
                     raw[k, k] = d
                     a = validate_coefficients(raw)
-                    for tol in self.TOLS:
-                        flag, slack = cp_check(a, tol)
-                        want_flag, want_slack = fraction_cp_check(a, tol)
-                        assert flag == want_flag and slack.hex() == want_slack.hex()
+                    assert cp_check(a).hex() == fraction_cp_slack(a).hex()
 
 
 class TestAveraging:

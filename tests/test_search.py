@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choilike.criteria import DEFAULT_MARGIN_BAND as TOL
 from choilike.criteria import cyclic_form_witness, zero_pattern_witnesses
 from choilike import search
 from choilike.linalg import (
@@ -26,13 +27,11 @@ from choilike.maps import (
     validate_coefficients,
 )
 from choilike.search import (
-    MAX_STARTS,
     _GROW,
     _MAX_ITERATIONS,
     _SHRINK,
     _STEP_TOLERANCE,
     PptWitnessCertificate,
-    SearchConfig,
     StructuredPptState,
     _structured_floor,
     _structured_root,
@@ -52,7 +51,6 @@ CHOI = validate_coefficients([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
 COUNTEREXAMPLE = validate_coefficients([[0.5, 1, 0], [0, 1, 1], [1, 0, 2]])
 ALL_ONES = validate_coefficients(np.ones((3, 3)))
 ZETA5 = np.array([2 ** (1 / 3), 2 ** (-1 / 6), 2 ** (-1 / 6)])
-CFG = SearchConfig(seed=42)
 _STEP_FLOOR = 1e-18  # absolute step floor of the reference descents below
 
 
@@ -74,7 +72,7 @@ def _project_simplex_rows(mat):
     return np.maximum(mat - theta[:, None], 0.0)
 
 
-def _probe_seeds(A, starts, seed):
+def _probe_seeds(A, seed, starts=64):
     """Pattern seeds loading the zero-cost positions, then uniform draws."""
     n = A.n
     cost = A.a.T  # cost[i, k] multiplies alpha[i, k]
@@ -95,7 +93,7 @@ def _probe_seeds(A, starts, seed):
     return np.array(seeds)
 
 
-def descent_probe(A, cfg):
+def descent_probe(A, seed):
     """Multi-start projected-gradient descent over the structured profiles on the simplex.
 
     An independent search of the same family as indecomposability_probe;
@@ -105,7 +103,7 @@ def descent_probe(A, cfg):
     float is rounded as in a plain loop over the pairs."""
     n = A.n
     cost = A.a.T
-    alphas = _probe_seeds(A, cfg.starts, cfg.seed)
+    alphas = _probe_seeds(A, seed)
     S = alphas.shape[0]
     I, J = np.triu_indices(n, 1)
     diag = np.arange(n)
@@ -157,12 +155,12 @@ def descent_probe(A, cfg):
 
     best = int(np.argmin(F))
     alpha = flat[best].reshape(n, n)
-    if F[best] >= -cfg.violation_tolerance:
+    if F[best] >= -TOL:
         return None
     r, _ = psd_feasible_cross_terms(alpha, maximal_cross_terms(alpha))
     rho = assemble_structured_state(alpha, r)
     trace_value = float(np.trace(rho @ choi_matrix(A)).real)
-    if trace_value >= -cfg.violation_tolerance:
+    if trace_value >= -TOL:
         return None
     total = float(np.trace(rho).real)
     return PptWitnessCertificate(
@@ -192,25 +190,6 @@ def bisection_cross_terms(alpha, r):
         else:
             hi = mid
     return lo
-
-
-class TestSearchConfig:
-    def test_seed_must_be_nonnegative(self):
-        with pytest.raises(ValueError, match="seed must be nonnegative"):
-            SearchConfig(seed=-1)
-        assert SearchConfig(seed=0).seed == 0
-
-    def test_starts_capped_for_library_calls(self):
-        assert SearchConfig(starts=MAX_STARTS).starts == MAX_STARTS
-        above = MAX_STARTS + 1
-        with pytest.raises(ValueError, match=f"between 1 and {MAX_STARTS}, got {above}"):
-            find_positivity_violation(COUNTEREXAMPLE, SearchConfig(starts=above))
-
-    @pytest.mark.parametrize("field", ["violation_tolerance"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-9])
-    def test_tolerance_must_be_finite_and_positive(self, field, value):
-        with pytest.raises(ValueError, match="finite and positive"):
-            SearchConfig(**{field: value})
 
 
 class TestPositivityGap:
@@ -294,7 +273,7 @@ class TestGapDecomposition:
 
 class TestViolationSearch:
     def test_counterexample_yields_certificate(self):
-        cert = find_positivity_violation(COUNTEREXAMPLE, CFG)
+        cert = find_positivity_violation(COUNTEREXAMPLE)
         assert cert is not None
         assert cert.gap < -1e-9
         assert cert.residual_check < 0.0
@@ -305,22 +284,61 @@ class TestViolationSearch:
         assert np.min(cert.p) >= 0.0 and np.min(cert.q) >= 0.0
 
     def test_positive_map_yields_none(self):
-        assert find_positivity_violation(ALL_ONES, CFG) is None
+        assert find_positivity_violation(ALL_ONES) is None
 
     def test_small_constant_yields_certificate(self):
-        cert = find_positivity_violation(constant_ckl_matrix(CklParams(0.5, 0.5, 0.5)), CFG)
+        cert = find_positivity_violation(constant_ckl_matrix(CklParams(0.5, 0.5, 0.5)))
         assert cert is not None and cert.gap < -1e-9
 
-    def test_deterministic_for_fixed_seed(self):
-        c1 = find_positivity_violation(COUNTEREXAMPLE, SearchConfig(seed=7))
-        c2 = find_positivity_violation(COUNTEREXAMPLE, SearchConfig(seed=7))
-        assert c1.gap == c2.gap
+    def test_two_calls_return_identical_certificates(self):
+        a = _corpus_draw(2025, 8, sparse=False)  # a random start finds its certificate
+        c1 = find_positivity_violation(a)
+        c2 = find_positivity_violation(a)
+        assert c1.gap == c2.gap and c1.residual_check == c2.residual_check
         assert np.array_equal(c1.p, c2.p) and np.array_equal(c1.q, c2.q)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-9])
+    def test_tolerance_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            find_positivity_violation(COUNTEREXAMPLE, value)
+
     def test_residual_matches_matrix_route(self):
-        cert = find_positivity_violation(COUNTEREXAMPLE, CFG)
+        cert = find_positivity_violation(COUNTEREXAMPLE)
         mineig = hermitian_eigenvalues(apply_map(COUNTEREXAMPLE, outer_product(cert.q)))[0]
         assert cert.residual_check == pytest.approx(float(mineig), abs=1e-12)
+
+
+def _corpus_draw(seed, k, sparse):
+    """Draw k of the corpus recipes: ``rand`` (seed 2025) or ``sparse`` (seed 77)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(k + 1):
+        n = int(rng.integers(2, 9))
+        if sparse:
+            raw = 1.5 * rng.random((n, n)) * (rng.random((n, n)) > 0.3)
+            np.fill_diagonal(raw, rng.uniform(0, n - 1, n))
+        else:
+            raw = 2.0 * rng.random((n, n))
+    return validate_coefficients(raw)
+
+
+class TestRandomStarts:
+    """Certificates that only the random starts reach."""
+
+    @pytest.mark.parametrize(
+        "seed,k,sparse,gap",
+        [
+            (2025, 8, False, -0.0176442708442),
+            (2025, 205, False, -0.00177458798197),
+            (77, 0, True, -0.0621179246734),
+        ],
+        ids=["rand8", "rand205", "sparse0"],
+    )
+    def test_found_only_with_the_random_starts(self, monkeypatch, seed, k, sparse, gap):
+        a = _corpus_draw(seed, k, sparse)
+        cert = find_positivity_violation(a)
+        assert cert is not None and cert.gap == pytest.approx(gap, rel=1e-6)
+        monkeypatch.setattr(search, "_STARTS", len(search._pair_seeds(a)))
+        assert find_positivity_violation(a) is None
 
 
 class TestCertifiedExit:
@@ -337,20 +355,19 @@ class TestCertifiedExit:
             if decomposition_check(a)[0]:
                 maps.append(a)
         monkeypatch.setattr(search, "decomposition_check", lambda _: (False, 0.0))
-        cfg = SearchConfig(seed=3, starts=16)
         for a in maps:
-            assert find_positivity_violation(a, cfg) is None, a.a.tolist()
+            assert find_positivity_violation(a) is None, a.a.tolist()
 
     def test_certified_map_runs_no_iteration(self, monkeypatch):
         monkeypatch.setattr(search, "_project_unit_nonneg", None)  # a call would raise
         assert decomposition_check(ALL_ONES)[0]
-        assert find_positivity_violation(ALL_ONES, CFG) is None
+        assert find_positivity_violation(ALL_ONES) is None
 
     def test_choi_map_still_searches(self, monkeypatch):
         # positive, but T = 2 I - J is indefinite, so no certificate ends the search
         calls = _count_projections(monkeypatch)
         assert not decomposition_check(CHOI)[0]
-        assert find_positivity_violation(CHOI, CFG) is None
+        assert find_positivity_violation(CHOI) is None
         assert len(calls) > 0
 
 
@@ -410,7 +427,7 @@ class TestEarlyStop:
     def test_creeping_start_no_longer_runs_to_max_iterations(self, monkeypatch):
         # at (1, 1/2, 0) the search reaches the least gap -1/6 in a few dozen steps
         calls = _count_projections(monkeypatch)
-        cert = find_positivity_violation(constant_ckl_matrix(CklParams(1.0, 0.5, 0.0)), CFG)
+        cert = find_positivity_violation(constant_ckl_matrix(CklParams(1.0, 0.5, 0.0)))
         assert cert.gap == pytest.approx(-1 / 6, abs=1e-12)
         assert len(calls) < 200
         # here the least gap -0.01864 lies on the face q_3 = 0, which some
@@ -419,11 +436,11 @@ class TestEarlyStop:
             [[0.403, 0.081, 0.694], [0.966, 1.1, 0.686], [0.513, 1.294, 1.503]]
         )
         calls.clear()
-        early = find_positivity_violation(a, CFG)
+        early = find_positivity_violation(a)
         assert len(calls) < 400
         _full_descent(monkeypatch)
         calls.clear()
-        full = find_positivity_violation(a, CFG)
+        full = find_positivity_violation(a)
         assert len(calls) == _MAX_ITERATIONS  # one projection per step
         assert early.gap == pytest.approx(full.gap, rel=1e-8)
 
@@ -440,18 +457,18 @@ class TestEarlyStop:
                 [0.85, 0.2, 0.27, 0.23, 1.98],
             ]
         )
-        early = find_positivity_violation(a, CFG)
+        early = find_positivity_violation(a)
         _full_descent(monkeypatch)
-        full = find_positivity_violation(a, CFG)
+        full = find_positivity_violation(a)
         assert full.gap < -0.02
         assert early.gap == pytest.approx(full.gap, rel=1e-8)
 
     def test_agrees_with_the_full_descent(self, monkeypatch):
         rng = np.random.default_rng(515)
         maps = [validate_coefficients(1.5 * rng.random((n, n))) for n in rng.integers(2, 7, 40)]
-        early = [find_positivity_violation(a, CFG) for a in maps]
+        early = [find_positivity_violation(a) for a in maps]
         _full_descent(monkeypatch)
-        full = [find_positivity_violation(a, CFG) for a in maps]
+        full = [find_positivity_violation(a) for a in maps]
         assert sum(c is not None for c in full) >= 20
         for a, e, f in zip(maps, early, full):
             assert (e is None) == (f is None), a.a.tolist()
@@ -529,7 +546,7 @@ class TestExactP:
         assert not decomposition_check(a)[0]
         calls = _count_projections(monkeypatch)
         rows = _count_rows(monkeypatch)
-        assert find_positivity_violation(a, CFG) is None
+        assert find_positivity_violation(a) is None
         assert len(calls) < 300
         # most starts reach a face of the orthant at gap 0 within a few
         # steps, where their projected gradient vanishes; an absolute step
@@ -537,7 +554,7 @@ class TestExactP:
         assert sum(rows) <= 1000
 
 
-def floor_descent(A, cfg):
+def floor_descent(A):
     """The violation search with an absolute step floor as its stop.
 
     find_positivity_violation step for step, except that a start stops
@@ -547,15 +564,11 @@ def floor_descent(A, cfg):
     if decomposition_check(A)[0]:
         return None
     w = A.a + np.eye(A.n)
-    qs = search._pair_seeds(A)[: cfg.starts]
-    for s in range(len(qs), cfg.starts):
-        q = -np.log(np.random.default_rng((cfg.seed, s)).random(A.n))
-        qs.append(q / np.linalg.norm(q))
-    Q = np.array(qs)
+    Q = search._start_points(A)
     G, P, grad = search._eliminate_p(w, Q)
-    step = np.full(cfg.starts, 0.25)
-    active = np.ones(cfg.starts, dtype=bool)
-    last_gain = np.full(cfg.starts, np.inf)
+    step = np.full(len(Q), 0.25)
+    active = np.ones(len(Q), dtype=bool)
+    last_gain = np.full(len(Q), np.inf)
     for it in range(_MAX_ITERATIONS):
         if not np.any(active):
             break
@@ -571,11 +584,11 @@ def floor_descent(A, cfg):
         active[won[last_gain[won] < _STEP_TOLERANCE]] = False
         active &= step > _STEP_FLOOR
         remaining = _MAX_ITERATIONS - it
-        if search._descent_settled(G, active, last_gain, remaining, cfg.violation_tolerance):
+        if search._descent_settled(G, active, last_gain, remaining, TOL):
             break
     best = int(np.argmin(G))
     gap = positivity_gap(A, P[best], Q[best])
-    return gap if gap < -cfg.violation_tolerance else None
+    return gap if gap < -TOL else None
 
 
 def _stop_rule_corpus():
@@ -607,8 +620,8 @@ class TestStationarityStop:
         found = 0
         for raw in maps:
             a = validate_coefficients(raw)
-            expected = floor_descent(a, CFG)
-            cert = find_positivity_violation(a, CFG)
+            expected = floor_descent(a)
+            cert = find_positivity_violation(a)
             assert (cert is None) == (expected is None), raw.tolist()
             if cert is not None:
                 found += 1
@@ -680,7 +693,7 @@ class TestBlockPositivity:
         for _ in range(3):
             a = validate_coefficients(rng.random((3, 3)) * 1.5)
             c = choi_matrix(a)
-            cert = find_positivity_violation(a, CFG)
+            cert = find_positivity_violation(a)
             best_found = 0.0 if cert is None else cert.gap
             sample_min = np.inf
             for _ in range(10_000):
@@ -881,9 +894,8 @@ def test_probe_matches_pair_loop_bit_for_bit(name, raw, seed):
     # a superset check, whatever the name says: the probe must find a witness
     # wherever the multi-start descent does, and one at least as good
     a = validate_coefficients(raw)
-    cfg = SearchConfig(seed=seed)
-    expected = descent_probe(a, cfg)
-    got = indecomposability_probe(a, cfg.violation_tolerance)
+    expected = descent_probe(a, seed)
+    got = indecomposability_probe(a)
     if expected is not None:
         assert got is not None
         assert got.normalized_value <= expected.normalized_value + 1e-12
@@ -929,7 +941,7 @@ class TestGradientBound:
         monkeypatch.setattr(search, "_structured_floor", recording)
         a = validate_coefficients(raw)
         assert indecomposability_probe(a) is not None
-        assert bounds and max(bounds) <= -CFG.violation_tolerance
+        assert bounds and max(bounds) <= -TOL
 
 
 class TestStructuredFloor:
@@ -987,7 +999,7 @@ class TestStructuredFloor:
     @pytest.mark.parametrize("raw", [m[1] for m in WITNESS_MAPS], ids=[m[0] for m in WITNESS_MAPS])
     def test_negative_when_a_witness_exists(self, raw):
         a = validate_coefficients(raw)
-        assert _structured_floor(a) < -CFG.violation_tolerance
+        assert _structured_floor(a) < -TOL
         assert indecomposability_probe(a) is not None
 
 
@@ -1159,7 +1171,6 @@ class TestBlockCheck:
 class TestOneSidedSoundness:
     def test_no_false_certificates_on_sufficient_family(self):
         rng = np.random.default_rng(99)
-        cfg = SearchConfig(seed=11)
         count = 0
         while count < 200:
             raw = rng.random((3, 3)) * 3
@@ -1172,12 +1183,11 @@ class TestOneSidedSoundness:
             if not suff:
                 continue
             count += 1
-            assert find_positivity_violation(a, cfg) is None
-            assert indecomposability_probe(a, cfg.violation_tolerance) is None
+            assert find_positivity_violation(a) is None
+            assert indecomposability_probe(a) is None
 
     def test_certificates_found_under_violated_necessary_bound(self):
         rng = np.random.default_rng(98)
-        cfg = SearchConfig(seed=11)
         count = 0
         while count < 200:
             raw = rng.random((3, 3)) * 1.2
@@ -1189,14 +1199,13 @@ class TestOneSidedSoundness:
             if not viol:
                 continue
             count += 1
-            cert = find_positivity_violation(validate_coefficients(raw), cfg)
+            cert = find_positivity_violation(validate_coefficients(raw))
             assert cert is not None and cert.gap < -1e-9
 
 
 class TestN2Equivalence:
     def test_matches_closed_form_outside_margin_band(self):
         rng = np.random.default_rng(2024)
-        cfg = SearchConfig(seed=7)
         tested = 0
         for _ in range(700):
             if tested >= 500:
@@ -1206,6 +1215,6 @@ class TestN2Equivalence:
             if abs(margin) < 1e-3:
                 continue
             tested += 1
-            cert = find_positivity_violation(validate_coefficients(raw), cfg)
+            cert = find_positivity_violation(validate_coefficients(raw))
             assert (cert is None) == (margin >= 0)
         assert tested >= 500
