@@ -47,6 +47,10 @@ NOT_APPLICABLE = "not_applicable"
 MARGINAL = "marginal"
 
 DEFAULT_MARGIN_BAND = 1e-9
+# How close a* + b must be to 2 for boundary_proposition to apply.  Its
+# determinant identity holds only on the boundary itself, so this is a
+# fixed closeness test, not the user's margin band.
+BOUNDARY_ATOL = 1e-9
 
 
 def require_tolerance(tolerance: float) -> None:
@@ -381,7 +385,7 @@ def boundary_proposition(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND
     if float(np.min(adiag)) <= 0.0:
         return not_applicable("requires strictly positive diagonal entries")
     a_star = geometric_means(A).a
-    if abs(a_star + b - 2.0) >= band:
+    if abs(a_star + b - 2.0) >= BOUNDARY_ATOL:
         return not_applicable(f"not on the boundary: a* + b = {a_star + b!r}")
 
     a_bar = float(np.mean(adiag))

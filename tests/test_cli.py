@@ -112,6 +112,16 @@ class TestAnalyze:
         replayed = float(np.trace(rho @ choi_matrix(a)).real)
         assert abs(replayed - w["trace_value"]) < 1e-10
 
+    def test_near_boundary_at_wide_tol(self, tmp_path, capsys):
+        # a* + b = 2.0005 lies inside a 1e-3 band but off the a* + b = 2
+        # boundary, so the boundary proposition does not apply
+        near = [[0.5, 1.0005, 0], [0, 1, 1.0005], [1.0005, 0, 2]]
+        path = write(tmp_path, {"n": 3, "A": near})
+        code, doc = run_json(capsys, "analyze", "-i", path, "--tol", "1e-3")
+        assert code == 0
+        verdicts = {c["name"]: c["status"] for c in doc["conditions"]}
+        assert verdicts["boundary_proposition"] == "not_applicable"
+
     def test_text_format(self, tmp_path, capsys):
         path = write(tmp_path, CHOI)
         code, out = run_cli(capsys, "analyze", "-i", path)

@@ -348,6 +348,13 @@ class TestBoundaryProposition:
         off = validate_coefficients([[0.6, 1, 0], [0, 1, 1], [1, 0, 2]])
         assert boundary_proposition(off).status == NOT_APPLICABLE  # off the boundary
 
+    @pytest.mark.parametrize("band", [1e-3, math.nan])
+    def test_boundary_gate_ignores_band(self, band):
+        # a* + b = 2.0005: off the boundary, where D_numeric depends on b
+        # and no longer equals D_formula, whatever margin band is asked for
+        near = validate_coefficients([[0.5, 1.0005, 0], [0, 1, 1.0005], [1.0005, 0, 2]])
+        assert boundary_proposition(near, band).status == NOT_APPLICABLE
+
     def test_determinant_identity_random(self):
         rng = np.random.default_rng(55)
         checked = 0
