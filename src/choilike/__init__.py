@@ -16,8 +16,6 @@ from .linalg import (
     hermitian_eigenvalues,
     is_psd,
     outer_product,
-    partial_transpose,
-    product_vector,
     require_hermitian,
 )
 from .maps import (
@@ -25,18 +23,13 @@ from .maps import (
     CoefficientMatrix,
     FormClass,
     KyeParams,
-    ScalingVector,
     apply_map,
     averaged_params,
-    choi_matrix,
     classify_form,
-    constant_ckl_matrix,
     cp_check,
     decomposition_check,
     geometric_means,
     kye_matrix,
-    scaled_ckl_matrix,
-    shift_average,
     validate_coefficients,
 )
 from .criteria import (
@@ -50,26 +43,20 @@ from .criteria import (
     c3_mean,
     ckl_is_indecomposable,
     ckl_is_positive,
-    cyclic_form_witness,
     cyclic_necessary,
     full_report,
     kye_check,
     pairwise_necessary,
     pairwise_sufficient,
-    scaling_sufficient,
     scaling_sufficient_search,
     summarize,
-    zero_pattern_witnesses,
 )
 from .search import (
     CounterexampleCheck,
     PptWitnessCertificate,
     StructuredPptState,
     ViolationCertificate,
-    assemble_structured_state,
-    block_positivity_value,
     find_positivity_violation,
-    gap_decomposition,
     indecomposability_probe,
     maximal_cross_terms,
     positivity_gap,
@@ -82,25 +69,18 @@ __all__ = [
     "hermitian_eigenvalues",
     "is_psd",
     "outer_product",
-    "partial_transpose",
-    "product_vector",
     "require_hermitian",
     "CklParams",
     "CoefficientMatrix",
     "FormClass",
     "KyeParams",
-    "ScalingVector",
     "apply_map",
     "averaged_params",
-    "choi_matrix",
     "classify_form",
-    "constant_ckl_matrix",
     "cp_check",
     "decomposition_check",
     "geometric_means",
     "kye_matrix",
-    "scaled_ckl_matrix",
-    "shift_average",
     "validate_coefficients",
     "ConditionReport",
     "InternalInconsistencyError",
@@ -112,24 +92,18 @@ __all__ = [
     "c3_mean",
     "ckl_is_indecomposable",
     "ckl_is_positive",
-    "cyclic_form_witness",
     "cyclic_necessary",
     "full_report",
     "kye_check",
     "pairwise_necessary",
     "pairwise_sufficient",
-    "scaling_sufficient",
     "scaling_sufficient_search",
     "summarize",
-    "zero_pattern_witnesses",
     "CounterexampleCheck",
     "PptWitnessCertificate",
     "StructuredPptState",
     "ViolationCertificate",
-    "assemble_structured_state",
-    "block_positivity_value",
     "find_positivity_violation",
-    "gap_decomposition",
     "indecomposability_probe",
     "maximal_cross_terms",
     "positivity_gap",

@@ -28,7 +28,6 @@ from .maps import (
     CoefficientMatrix,
     FormClass,
     KyeParams,
-    ScalingVector,
     apply_map,
     averaged_params,
     classify_form,
@@ -38,7 +37,6 @@ from .maps import (
     matches_b_only,
     matches_cyclic_bc,
     matches_kye_form,
-    scaled_ckl_matrix,
 )
 
 HOLDS = "holds"
@@ -202,17 +200,22 @@ def pairwise_sufficient(
 def c3_mean(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Verdict:
     """Geometric-mean bound a* + b* + c* >= 2.
 
-    Conjectured necessary for positivity in general; proven only for the
-    special cyclic and zero-pattern forms, which have their own gated
-    criteria.  This verdict therefore never decides non-positivity on
-    its own.
+    Proven necessary for positivity only when every a_i >= 1 and either
+    the b and c slots are constant and positive (cyclic_necessary) or the
+    c slots are zero and the b slots positive (b_only_necessary); those
+    rows carry the proof.  It is not necessary in general: some maps with
+    every a_i >= 1 fail it, yet have an exactly checked structured
+    decomposition.  This verdict therefore never decides non-positivity.
     """
     if A.n != 3:
         return not_applicable("defined for n = 3 only")
     g = geometric_means(A)
     margin = g.a + g.b + g.c - 2.0
     return make_verdict(
-        margin, band, "conjectured necessary; proven only for special coefficient patterns"
+        margin,
+        band,
+        "necessary when every a_i >= 1 with constant b, c > 0 or with zero c and "
+        "positive b slots; not necessary in general",
     )
 
 
@@ -242,27 +245,6 @@ def b_only_necessary(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) ->
     g = geometric_means(A)
     a_star, b_star = g.a, g.b
     return make_verdict(a_star + b_star - 2.0, band, f"a* = {a_star!r}, b* = {b_star!r}")
-
-
-def scaling_sufficient(
-    A: CoefficientMatrix,
-    params: CklParams,
-    scaling: ScalingVector,
-    band: float = DEFAULT_MARGIN_BAND,
-) -> Verdict:
-    """Entrywise-dominance certificate against a rescaled constant map.
-
-    Requires positive constant coefficients; holds when every entry of
-    A - (rescaled constant matrix) is >= -1e-12, proving positivity.
-    """
-    if A.n != 3:
-        return not_applicable("defined for n = 3 only")
-    if not affirmative(ckl_is_positive(params, band)):
-        raise ValueError("reference constant coefficients do not define a positive map")
-    reference = scaled_ckl_matrix(params, scaling)
-    margin = float(np.min(A.a - reference.a))
-    status = HOLDS if margin >= -1e-12 else FAILS
-    return Verdict(status, margin, "minimum entry of the dominance gap matrix")
 
 
 def scaling_sufficient_search(
@@ -320,48 +302,6 @@ def boundary_witness_vector(a1: float, a2: float, a3: float) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def cyclic_form_witness(a1: float, a2: float, a3: float) -> np.ndarray:
-    """Block-positivity test vector for cyclic matrices with constant b, c."""
-    return np.array(
-        [
-            (a2 * a3 / a1) ** (1.0 / 12.0),
-            (a1 * a3 / a2) ** (1.0 / 12.0),
-            (a1 * a2 / a3) ** (1.0 / 12.0),
-        ],
-        dtype=complex,
-    )
-
-
-def zero_pattern_witnesses(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Block-positivity test pair (xi, eta) for zero-c-slot matrices.
-
-    ``a`` and ``b`` are the diagonals (a1, a2, a3) and the positive b
-    slots (b1, b2, b3).  Under this package's block convention (units in
-    the first tensor factor) the certifying product vector is eta (x) xi;
-    its value is (sum_i a_i^(1/3) / a*) (a* + b*- 2).
-    """
-    a1, a2, a3 = a
-    b1, b2, b3 = b
-    sixth = 1.0 / 6.0
-    xi = np.array(
-        [
-            a1 ** -sixth * b1 ** -sixth * b3 ** sixth,
-            a2 ** -sixth * b2 ** -sixth * b1 ** sixth,
-            a3 ** -sixth * b3 ** -sixth * b2 ** sixth,
-        ],
-        dtype=complex,
-    )
-    eta = np.array(
-        [
-            a1 ** -sixth * b1 ** sixth * b3 ** -sixth,
-            a2 ** -sixth * b2 ** sixth * b1 ** -sixth,
-            a3 ** -sixth * b3 ** sixth * b2 ** -sixth,
-        ],
-        dtype=complex,
-    )
-    return xi, eta
 
 
 def boundary_proposition(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Verdict:
@@ -470,8 +410,10 @@ def full_report(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Cond
     inclusive conditions, marginal verdicts with nonnegative margin), so
     positivity or decomposability is proven together with its negation
     only when an implementation bug makes two theorems disagree, which
-    ``summarize`` raises as InternalInconsistencyError.
+    ``summarize`` raises as InternalInconsistencyError.  A band that is
+    not finite and positive raises ValueError.
     """
+    require_tolerance(band)
     rows: list[tuple[str, Verdict]] = []
     proofs: dict[str, list[str]] = {
         "positive": [], "not_positive": [], "decomposable": [], "indecomposable": []

@@ -1,11 +1,12 @@
 """Dense complex linear algebra for small Hermitian problems.
 
 Everything here is sized for small matrices: an analysis works on
-n x n matrices with n <= 16, and only the test oracles build the block
-matrices of side n^2.  Eigenvalues and determinants come from numpy's
-LAPACK routines behind a Hermitian input check.  LAPACK is deterministic
-for identical input on one machine and numpy build, so reports are
-byte-identical there; across builds the low-order bits may differ.
+n x n matrices with n <= 16.  The block matrices of side n^2 are built
+only in the tests' reference module, tests/oracles.py.  Eigenvalues
+and determinants come from numpy's LAPACK routines behind a Hermitian
+input check.  LAPACK is deterministic for identical input on one
+machine and numpy build, so reports are byte-identical there; across
+builds the low-order bits may differ.
 
 Block conventions used throughout the package: a matrix of side n^2 is
 read as an n x n grid of n x n blocks, with global row index
@@ -57,27 +58,6 @@ def determinant(matrix) -> float:
     """Real determinant of a Hermitian matrix (LU through numpy.linalg.det)."""
     # a Hermitian matrix has a real determinant; the imaginary residue is round-off
     return float(np.linalg.det(require_hermitian(matrix)).real)
-
-
-def partial_transpose(matrix, n: int) -> np.ndarray:
-    """Transpose each n x n block of an n^2 x n^2 matrix in place.
-
-    This is an involution and preserves the trace exactly.
-    """
-    r = np.asarray(matrix, dtype=complex)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {r.shape}")
-    if n < 1 or r.shape[0] != n * n:
-        raise ValueError(f"matrix side {r.shape[0]} is not the square of block size {n}")
-    blocks = r.reshape(n, n, n, n)  # axes: (block row, inner row, block col, inner col)
-    return blocks.transpose(0, 3, 2, 1).reshape(n * n, n * n)
-
-
-def product_vector(xi, eta) -> np.ndarray:
-    """Tensor product of two vectors: entry (i * dim(eta) + k) is xi_i * eta_k."""
-    a = np.asarray(xi, dtype=complex).ravel()
-    b = np.asarray(eta, dtype=complex).ravel()
-    return np.kron(a, b)
 
 
 def outer_product(zeta) -> np.ndarray:

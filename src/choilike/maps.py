@@ -91,17 +91,6 @@ class KyeParams:
 
 
 @dataclass(frozen=True)
-class ScalingVector:
-    """Three strictly positive diagonal scaling weights."""
-
-    p: tuple[float, float, float]
-
-    def __post_init__(self):
-        if len(self.p) != 3 or min(self.p) <= 0:
-            raise ValueError("scaling vector needs three strictly positive entries")
-
-
-@dataclass(frozen=True)
 class FormClass:
     """Detected coefficient pattern with its extracted named parameters."""
 
@@ -158,25 +147,6 @@ def apply_map(A: CoefficientMatrix, X) -> np.ndarray:
     out = -x.copy()
     np.fill_diagonal(out, A.a @ np.real(np.diag(x)))
     return out
-
-
-def choi_matrix(A: CoefficientMatrix) -> np.ndarray:
-    """Block matrix (Phi_A(E_ij))_{ij} over the matrix units E_ij.
-
-    Block row/column are indexed by the unit indices, so block (i, i)
-    carries column i of A on its diagonal and block (i, j), i != j,
-    carries a single -1 at inner position (i, j).  The trace collects
-    every coefficient of A exactly once.
-    """
-    n = A.n
-    c = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for k in range(n):
-            c[i * n + k, i * n + k] = A.a[k, i]
-        for j in range(n):
-            if i != j:
-                c[i * n + i, j * n + j] = -1.0
-    return c
 
 
 def cp_check(A: CoefficientMatrix) -> float:
@@ -325,59 +295,12 @@ def geometric_means(A: CoefficientMatrix) -> CklParams:
     )
 
 
-_SHIFT = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)  # S e_i = e_{i+1} cyclically
-
-
-def shift_average(A: CoefficientMatrix, X) -> np.ndarray:
-    """Average Phi_A over conjugation by the cyclic shift.
-
-    The result equals Phi of the constant cyclic matrix built from
-    averaged_params(A), applied to the same X.
-    """
-    A._require_n3()
-    x = require_hermitian(X)
-    if x.shape[0] != 3:
-        raise ValueError("shift averaging is defined for 3 x 3 inputs")
-    s = _SHIFT
-    term1 = apply_map(A, x)
-    term2 = s @ apply_map(A, s.T @ x @ s) @ s.T
-    term3 = s.T @ apply_map(A, s @ x @ s.T) @ s
-    return (term1 + term2 + term3) / 3.0
-
-
-def constant_ckl_matrix(params: CklParams) -> CoefficientMatrix:
-    """The constant cyclic coefficient matrix [[a,b,c],[c,a,b],[b,c,a]]."""
-    a, b, c = params.a, params.b, params.c
-    return validate_coefficients([[a, b, c], [c, a, b], [b, c, a]])
-
-
 def kye_matrix(params: KyeParams) -> CoefficientMatrix:
     """Coefficient matrix of the zero-b family (a; c1, c2, c3)."""
     a = params.a
     return validate_coefficients(
         [[a, 0.0, params.c1], [params.c2, a, 0.0], [0.0, params.c3, a]]
     )
-
-
-def scaled_ckl_matrix(params: CklParams, scaling: ScalingVector) -> CoefficientMatrix:
-    """Diagonal rescaling of a constant cyclic matrix.
-
-    With weights p the entries become a_i = a, b_i = (p_{i+1}/p_i) b and
-    c_i = (p_{i+2}/p_i) c (cyclic indices), which preserves the geometric
-    means b* = b, c* = c and the products b_i c_{i+1} = b c.  The
-    resulting map is Phi_A(X) = V^{-1/2} Phi_[a,b,c](V^{1/2} X V^{1/2}) V^{-1/2}
-    for V = diag(p).
-    """
-    p = np.asarray(scaling.p, dtype=float)
-    a, b, c = params.a, params.b, params.c
-    out = np.empty((3, 3))
-    for i in range(3):
-        out[i, i] = a
-    # b slots (i, i+1), c slots (i, i+2), cyclic
-    for i in range(3):
-        out[i, (i + 1) % 3] = p[(i + 1) % 3] / p[i] * b
-        out[i, (i + 2) % 3] = p[(i + 2) % 3] / p[i] * c
-    return validate_coefficients(out)
 
 
 def _all_close(values) -> bool:

@@ -37,7 +37,6 @@ from .linalg import (
     determinant,
     hermitian_eigenvalues,
     is_psd,
-    product_vector,
     outer_product,
     require_hermitian,
 )
@@ -118,38 +117,6 @@ def positivity_gap(A: CoefficientMatrix, p, q) -> float:
     qv = _as_vector(q, A.n, "q")
     w = A.a + np.eye(A.n)
     return float((pv ** 2) @ w @ (qv ** 2) - (pv @ qv) ** 2)
-
-
-def gap_decomposition(A: CoefficientMatrix, p, q, refactored: bool = False):
-    """Sum-of-terms form of the positivity gap; returns (terms, total).
-
-    The plain form groups the gap into diagonal terms a_kk p_k^2 q_k^2,
-    pair squares (sqrt(a_kl) p_k q_l - sqrt(a_lk) p_l q_k)^2 and cross
-    terms 2 (sqrt(a_kl a_lk) - 1) p_k p_l q_k q_l.  With ``refactored``
-    the diagonal terms are spread over pairs, which folds the factor
-    1/(n-1) into the cross coefficients.  Either total equals
-    positivity_gap(A, p, q).
-    """
-    pv = _as_vector(p, A.n, "p")
-    qv = _as_vector(q, A.n, "q")
-    a, n = A.a, A.n
-    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    if refactored:
-        c = 1.0 / (n - 1)
-        head = [
-            (np.sqrt(a[k, k] * c) * pv[k] * qv[k] - np.sqrt(a[l, l] * c) * pv[l] * qv[l]) ** 2
-            for k, l in pairs
-        ]
-        weights = [np.sqrt(a[k, k] * a[l, l]) * c + np.sqrt(a[k, l] * a[l, k]) for k, l in pairs]
-    else:
-        head = [a[k, k] * pv[k] ** 2 * qv[k] ** 2 for k in range(n)]
-        weights = [np.sqrt(a[k, l] * a[l, k]) for k, l in pairs]
-    squares = [
-        (np.sqrt(a[k, l]) * pv[k] * qv[l] - np.sqrt(a[l, k]) * pv[l] * qv[k]) ** 2 for k, l in pairs
-    ]
-    cross = [2.0 * (w - 1.0) * pv[k] * pv[l] * qv[k] * qv[l] for w, (k, l) in zip(weights, pairs)]
-    terms = [float(t) for t in head + squares + cross]
-    return terms, float(sum(terms))
 
 
 def _pair_seeds(A: CoefficientMatrix) -> list[np.ndarray]:
@@ -322,38 +289,10 @@ def verify_counterexample(A: CoefficientMatrix, X) -> CounterexampleCheck:
     return CounterexampleCheck(image=image, det=det, psd=image_psd, input_psd=input_psd)
 
 
-def block_positivity_value(C, xi, eta) -> float:
-    """Quadratic form of a block matrix at the product vector xi (x) eta."""
-    c = require_hermitian(C)
-    v = product_vector(xi, eta)
-    if v.shape[0] != c.shape[0]:
-        raise ValueError(
-            f"product vector dimension {v.shape[0]} does not match matrix side {c.shape[0]}"
-        )
-    val = complex(v.conj() @ c @ v)
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ValueError(f"quadratic form has non-real value {val!r}")
-    return float(val.real)
-
-
 def maximal_cross_terms(alpha: np.ndarray) -> np.ndarray:
     """Largest cross terms allowed by both partial-transpose caps."""
     d = np.diag(alpha)
     return np.triu(np.minimum(np.sqrt(np.outer(d, d)), np.sqrt(alpha * alpha.T)), 1)
-
-
-def assemble_structured_state(alpha: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Build the full state: diagonal from alpha, cross terms at ((i,i),(j,j))."""
-    n = alpha.shape[0]
-    rho = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for k in range(n):
-            rho[i * n + k, i * n + k] = alpha[i, k]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rho[i * n + i, j * n + j] = r[i, j]
-            rho[j * n + j, i * n + i] = r[i, j]
-    return rho
 
 
 def psd_feasible_cross_terms(alpha: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
@@ -489,8 +428,10 @@ def indecomposability_probe(
     state on its n x n and 2 x 2 blocks, which carry the eigenvalues of
     the n^2 x n^2 state and its blockwise transpose.  Returns None when no
     witness below -tolerance is found, which proves nothing; a least
-    eigenvalue below -tolerance raises InternalInconsistencyError.
+    eigenvalue below -tolerance raises InternalInconsistencyError.  A
+    tolerance that is not finite and positive raises ValueError.
     """
+    require_tolerance(tolerance)
     n = A.n
     keep = np.arange(n)
     sub = A

@@ -1,0 +1,254 @@
+"""Reference objects that only the tests use.
+
+The analysis works on n x n matrices and never builds a matrix of side
+n^2 or a product vector.  The tests do, to check the n x n shortcuts
+against the textbook objects: the block (Choi) matrix and its partial
+transpose, the shift average, the rescaled constant maps with their
+dominance certificate, the sum-of-squares split of the positivity gap,
+and the paper's witness vectors.  Test files import this module as
+``oracles``.
+
+Block conventions are those of ``choilike.linalg``: a matrix of side n^2
+is an n x n grid of n x n blocks, with row index i * n + k addressing
+entry k of block row i.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from choilike.criteria import (
+    DEFAULT_MARGIN_BAND,
+    FAILS,
+    HOLDS,
+    Verdict,
+    affirmative,
+    ckl_is_positive,
+    not_applicable,
+)
+from choilike.linalg import require_hermitian
+from choilike.maps import CklParams, CoefficientMatrix, apply_map, validate_coefficients
+from choilike.search import _as_vector
+
+
+def partial_transpose(matrix, n: int) -> np.ndarray:
+    """Transpose each n x n block of an n^2 x n^2 matrix in place.
+
+    This is an involution and preserves the trace exactly.
+    """
+    r = np.asarray(matrix, dtype=complex)
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {r.shape}")
+    if n < 1 or r.shape[0] != n * n:
+        raise ValueError(f"matrix side {r.shape[0]} is not the square of block size {n}")
+    blocks = r.reshape(n, n, n, n)  # axes: (block row, inner row, block col, inner col)
+    return blocks.transpose(0, 3, 2, 1).reshape(n * n, n * n)
+
+
+def product_vector(xi, eta) -> np.ndarray:
+    """Tensor product of two vectors: entry (i * dim(eta) + k) is xi_i * eta_k."""
+    a = np.asarray(xi, dtype=complex).ravel()
+    b = np.asarray(eta, dtype=complex).ravel()
+    return np.kron(a, b)
+
+
+def choi_matrix(A: CoefficientMatrix) -> np.ndarray:
+    """Block matrix (Phi_A(E_ij))_{ij} over the matrix units E_ij.
+
+    Block row/column are indexed by the unit indices, so block (i, i)
+    carries column i of A on its diagonal and block (i, j), i != j,
+    carries a single -1 at inner position (i, j).  The trace collects
+    every coefficient of A exactly once.
+    """
+    n = A.n
+    c = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for k in range(n):
+            c[i * n + k, i * n + k] = A.a[k, i]
+        for j in range(n):
+            if i != j:
+                c[i * n + i, j * n + j] = -1.0
+    return c
+
+
+_SHIFT = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)  # S e_i = e_{i+1} cyclically
+
+
+def shift_average(A: CoefficientMatrix, X) -> np.ndarray:
+    """Average Phi_A over conjugation by the cyclic shift.
+
+    The result equals Phi of the constant cyclic matrix built from
+    averaged_params(A), applied to the same X.
+    """
+    A._require_n3()
+    x = require_hermitian(X)
+    if x.shape[0] != 3:
+        raise ValueError("shift averaging is defined for 3 x 3 inputs")
+    s = _SHIFT
+    term1 = apply_map(A, x)
+    term2 = s @ apply_map(A, s.T @ x @ s) @ s.T
+    term3 = s.T @ apply_map(A, s @ x @ s.T) @ s
+    return (term1 + term2 + term3) / 3.0
+
+
+def constant_ckl_matrix(params: CklParams) -> CoefficientMatrix:
+    """The constant cyclic coefficient matrix [[a,b,c],[c,a,b],[b,c,a]]."""
+    a, b, c = params.a, params.b, params.c
+    return validate_coefficients([[a, b, c], [c, a, b], [b, c, a]])
+
+
+@dataclass(frozen=True)
+class ScalingVector:
+    """Three strictly positive diagonal scaling weights."""
+
+    p: tuple[float, float, float]
+
+    def __post_init__(self):
+        if len(self.p) != 3 or min(self.p) <= 0:
+            raise ValueError("scaling vector needs three strictly positive entries")
+
+
+def scaled_ckl_matrix(params: CklParams, scaling: ScalingVector) -> CoefficientMatrix:
+    """Diagonal rescaling of a constant cyclic matrix.
+
+    With weights p the entries become a_i = a, b_i = (p_{i+1}/p_i) b and
+    c_i = (p_{i+2}/p_i) c (cyclic indices), which preserves the geometric
+    means b* = b, c* = c and the products b_i c_{i+1} = b c.  The
+    resulting map is Phi_A(X) = V^{-1/2} Phi_[a,b,c](V^{1/2} X V^{1/2}) V^{-1/2}
+    for V = diag(p).
+    """
+    p = np.asarray(scaling.p, dtype=float)
+    a, b, c = params.a, params.b, params.c
+    out = np.empty((3, 3))
+    for i in range(3):
+        out[i, i] = a
+    # b slots (i, i+1), c slots (i, i+2), cyclic
+    for i in range(3):
+        out[i, (i + 1) % 3] = p[(i + 1) % 3] / p[i] * b
+        out[i, (i + 2) % 3] = p[(i + 2) % 3] / p[i] * c
+    return validate_coefficients(out)
+
+
+def scaling_sufficient(
+    A: CoefficientMatrix,
+    params: CklParams,
+    scaling: ScalingVector,
+    band: float = DEFAULT_MARGIN_BAND,
+) -> Verdict:
+    """Entrywise-dominance certificate against a rescaled constant map.
+
+    Requires positive constant coefficients; holds when every entry of
+    A - (rescaled constant matrix) is >= -1e-12, proving positivity.
+    """
+    if A.n != 3:
+        return not_applicable("defined for n = 3 only")
+    if not affirmative(ckl_is_positive(params, band)):
+        raise ValueError("reference constant coefficients do not define a positive map")
+    reference = scaled_ckl_matrix(params, scaling)
+    margin = float(np.min(A.a - reference.a))
+    status = HOLDS if margin >= -1e-12 else FAILS
+    return Verdict(status, margin, "minimum entry of the dominance gap matrix")
+
+
+def cyclic_form_witness(a1: float, a2: float, a3: float) -> np.ndarray:
+    """Block-positivity test vector for cyclic matrices with constant b, c."""
+    return np.array(
+        [
+            (a2 * a3 / a1) ** (1.0 / 12.0),
+            (a1 * a3 / a2) ** (1.0 / 12.0),
+            (a1 * a2 / a3) ** (1.0 / 12.0),
+        ],
+        dtype=complex,
+    )
+
+
+def zero_pattern_witnesses(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Block-positivity test pair (xi, eta) for zero-c-slot matrices.
+
+    ``a`` and ``b`` are the diagonals (a1, a2, a3) and the positive b
+    slots (b1, b2, b3).  Under the block convention above (units in
+    the first tensor factor) the certifying product vector is eta (x) xi;
+    its value is (sum_i a_i^(1/3) / a*) (a* + b*- 2).
+    """
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    sixth = 1.0 / 6.0
+    xi = np.array(
+        [
+            a1 ** -sixth * b1 ** -sixth * b3 ** sixth,
+            a2 ** -sixth * b2 ** -sixth * b1 ** sixth,
+            a3 ** -sixth * b3 ** -sixth * b2 ** sixth,
+        ],
+        dtype=complex,
+    )
+    eta = np.array(
+        [
+            a1 ** -sixth * b1 ** sixth * b3 ** -sixth,
+            a2 ** -sixth * b2 ** sixth * b1 ** -sixth,
+            a3 ** -sixth * b3 ** sixth * b2 ** -sixth,
+        ],
+        dtype=complex,
+    )
+    return xi, eta
+
+
+def gap_decomposition(A: CoefficientMatrix, p, q, refactored: bool = False):
+    """Sum-of-terms form of the positivity gap; returns (terms, total).
+
+    The plain form groups the gap into diagonal terms a_kk p_k^2 q_k^2,
+    pair squares (sqrt(a_kl) p_k q_l - sqrt(a_lk) p_l q_k)^2 and cross
+    terms 2 (sqrt(a_kl a_lk) - 1) p_k p_l q_k q_l.  With ``refactored``
+    the diagonal terms are spread over pairs, which folds the factor
+    1/(n-1) into the cross coefficients.  Either total equals
+    positivity_gap(A, p, q).
+    """
+    pv = _as_vector(p, A.n, "p")
+    qv = _as_vector(q, A.n, "q")
+    a, n = A.a, A.n
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    if refactored:
+        c = 1.0 / (n - 1)
+        head = [
+            (np.sqrt(a[k, k] * c) * pv[k] * qv[k] - np.sqrt(a[l, l] * c) * pv[l] * qv[l]) ** 2
+            for k, l in pairs
+        ]
+        weights = [np.sqrt(a[k, k] * a[l, l]) * c + np.sqrt(a[k, l] * a[l, k]) for k, l in pairs]
+    else:
+        head = [a[k, k] * pv[k] ** 2 * qv[k] ** 2 for k in range(n)]
+        weights = [np.sqrt(a[k, l] * a[l, k]) for k, l in pairs]
+    squares = [
+        (np.sqrt(a[k, l]) * pv[k] * qv[l] - np.sqrt(a[l, k]) * pv[l] * qv[k]) ** 2 for k, l in pairs
+    ]
+    cross = [2.0 * (w - 1.0) * pv[k] * pv[l] * qv[k] * qv[l] for w, (k, l) in zip(weights, pairs)]
+    terms = [float(t) for t in head + squares + cross]
+    return terms, float(sum(terms))
+
+
+def block_positivity_value(C, xi, eta) -> float:
+    """Quadratic form of a block matrix at the product vector xi (x) eta."""
+    c = require_hermitian(C)
+    v = product_vector(xi, eta)
+    if v.shape[0] != c.shape[0]:
+        raise ValueError(
+            f"product vector dimension {v.shape[0]} does not match matrix side {c.shape[0]}"
+        )
+    val = complex(v.conj() @ c @ v)
+    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
+        raise ValueError(f"quadratic form has non-real value {val!r}")
+    return float(val.real)
+
+
+def assemble_structured_state(alpha: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Build the full state: diagonal from alpha, cross terms at ((i,i),(j,j))."""
+    n = alpha.shape[0]
+    rho = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for k in range(n):
+            rho[i * n + k, i * n + k] = alpha[i, k]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rho[i * n + i, j * n + j] = r[i, j]
+            rho[j * n + j, i * n + i] = r[i, j]
+    return rho

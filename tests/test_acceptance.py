@@ -14,34 +14,36 @@ import time
 
 import numpy as np
 
-from choilike.criteria import cyclic_form_witness
 from choilike.linalg import (
     determinant,
     is_psd,
     outer_product,
-    partial_transpose,
 )
 from choilike.maps import (
     CklParams,
-    ScalingVector,
     apply_map,
     averaged_params,
-    choi_matrix,
-    constant_ckl_matrix,
     cp_check,
     geometric_means,
-    scaled_ckl_matrix,
-    shift_average,
     validate_coefficients,
 )
 from choilike.search import (
-    assemble_structured_state,
-    block_positivity_value,
     find_positivity_violation,
-    gap_decomposition,
     indecomposability_probe,
     maximal_cross_terms,
     positivity_gap,
+)
+from oracles import (
+    ScalingVector,
+    assemble_structured_state,
+    block_positivity_value,
+    choi_matrix,
+    constant_ckl_matrix,
+    cyclic_form_witness,
+    gap_decomposition,
+    partial_transpose,
+    scaled_ckl_matrix,
+    shift_average,
 )
 
 COUNTEREXAMPLE = validate_coefficients([[0.5, 1, 0], [0, 1, 1], [1, 0, 2]])

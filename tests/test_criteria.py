@@ -26,18 +26,20 @@ from choilike.criteria import (
     pairwise_necessary,
     pairwise_sufficient,
     refuted,
-    scaling_sufficient,
     scaling_sufficient_search,
     summarize,
 )
 from choilike.maps import (
     CklParams,
     KyeParams,
+    kye_matrix,
+    validate_coefficients,
+)
+from oracles import (
     ScalingVector,
     constant_ckl_matrix,
-    kye_matrix,
     scaled_ckl_matrix,
-    validate_coefficients,
+    scaling_sufficient,
 )
 
 CHOI = validate_coefficients([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
@@ -165,7 +167,19 @@ class TestPairwise:
 class TestC3Mean:
     def test_counterexample_boundary(self):
         v = c3_mean(COUNTEREXAMPLE)
-        assert v.margin == 0.0 and "conjectured" in v.detail
+        assert v.margin == 0.0 and "not necessary in general" in v.detail
+
+    def test_fails_on_an_exactly_decomposable_map(self):
+        # every a_i >= 1 and every slot positive, yet T decomposes the map exactly
+        a = validate_coefficients(
+            [[1.1876, 0.70678, 0.0014], [0.93795, 1.13082, 0.52172], [0.02821, 0.67804, 1.17624]]
+        )
+        r = full_report(a)
+        assert r.summary == ("positive_proven", "decomposable_proven")
+        assert r.proofs["positive"] == ["structured_decomposition"]
+        assert r.verdict("structured_decomposition").margin == pytest.approx(0.02789, abs=1e-5)
+        v = r.verdict("c3_mean")
+        assert v.status == FAILS and v.margin == pytest.approx(-0.52088, abs=1e-5)
 
     def test_constant_values(self):
         assert c3_mean(constant_ckl_matrix(CklParams(1, 1, 0))).margin == 0.0

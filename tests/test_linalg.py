@@ -8,10 +8,9 @@ from choilike.linalg import (
     hermitian_eigenvalues,
     is_psd,
     outer_product,
-    partial_transpose,
-    product_vector,
     require_hermitian,
 )
+from oracles import partial_transpose, product_vector
 
 
 def random_hermitian(rng, dim):

@@ -12,12 +12,9 @@ from choilike.maps import (
     _box_certificate,
     _rational_psd,
     CklParams,
-    ScalingVector,
     apply_map,
     averaged_params,
-    choi_matrix,
     classify_form,
-    constant_ckl_matrix,
     cp_check,
     decomposition_check,
     geometric_means,
@@ -26,10 +23,15 @@ from choilike.maps import (
     matches_b_only,
     matches_cyclic_bc,
     matches_kye_form,
-    scaled_ckl_matrix,
-    shift_average,
     structured_matrix,
     validate_coefficients,
+)
+from oracles import (
+    ScalingVector,
+    choi_matrix,
+    constant_ckl_matrix,
+    scaled_ckl_matrix,
+    shift_average,
 )
 
 CHOI = [[1, 0, 1], [1, 1, 0], [0, 1, 1]]

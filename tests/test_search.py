@@ -8,20 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choilike.criteria import DEFAULT_MARGIN_BAND as TOL
-from choilike.criteria import cyclic_form_witness, zero_pattern_witnesses
+from choilike.criteria import full_report
 from choilike import search
 from choilike.linalg import (
     hermitian_eigenvalues,
     is_psd,
     outer_product,
-    partial_transpose,
 )
 from choilike.maps import (
     CklParams,
     KyeParams,
     apply_map,
-    choi_matrix,
-    constant_ckl_matrix,
     decomposition_check,
     kye_matrix,
     validate_coefficients,
@@ -36,15 +33,22 @@ from choilike.search import (
     _structured_floor,
     _structured_root,
     _witness_check,
-    assemble_structured_state,
-    block_positivity_value,
     find_positivity_violation,
-    gap_decomposition,
     indecomposability_probe,
     maximal_cross_terms,
     positivity_gap,
     psd_feasible_cross_terms,
     verify_counterexample,
+)
+from oracles import (
+    assemble_structured_state,
+    block_positivity_value,
+    choi_matrix,
+    constant_ckl_matrix,
+    cyclic_form_witness,
+    gap_decomposition,
+    partial_transpose,
+    zero_pattern_witnesses,
 )
 
 CHOI = validate_coefficients([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
@@ -299,8 +303,11 @@ class TestViolationSearch:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-9])
     def test_tolerance_must_be_finite_and_positive(self, value):
-        with pytest.raises(ValueError, match="finite and positive"):
-            find_positivity_violation(COUNTEREXAMPLE, value)
+        # the generalized Choi map n = 4 has a witness, so an unchecked probe would act on it
+        a = validate_coefficients(_generalized_choi(4))
+        for entry in (find_positivity_violation, indecomposability_probe, full_report):
+            with pytest.raises(ValueError, match="finite and positive"):
+                entry(a, value)
 
     def test_residual_matches_matrix_route(self):
         cert = find_positivity_violation(COUNTEREXAMPLE)
