@@ -23,7 +23,6 @@ import numpy as np
 
 from .linalg import determinant, outer_product
 from .maps import (
-    PATTERN_ATOL,
     CklParams,
     CoefficientMatrix,
     FormClass,
@@ -320,7 +319,7 @@ def boundary_proposition(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND
     adiag = A.a_diag
     b = float(A.b_cyclic[0])
     c = float(A.c_cyclic[0])
-    if c > PATTERN_ATOL:
+    if c != 0.0:
         return not_applicable("requires zero c slots")
     if float(np.min(adiag)) <= 0.0:
         return not_applicable("requires strictly positive diagonal entries")

@@ -18,6 +18,10 @@ For n = 3 the entries carry conventional names:
 so the b's sit on the cyclic superdiagonal (1,2), (2,3), (3,1) and the
 c's on the cyclic subdiagonal (1,3), (2,1), (3,2).  All n = 3 criteria
 read entries through these accessors, never through raw indices.
+
+The n = 3 patterns are decided by exact comparison, with no tolerance:
+each is the hypothesis of a theorem, and a slot of 1e-13 beside one of
+1e13 changes a_ij a_ji by order one.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import numpy as np
 
 from .linalg import require_hermitian
 
-PATTERN_ATOL = 1e-12
 NEGATIVE_CLAMP = 1e-12
 # nonzero coefficients lie here, so products and quotients of up to six are normal floats
 COEFFICIENT_RANGE = (1e-50, 1e50)
@@ -303,41 +306,36 @@ def kye_matrix(params: KyeParams) -> CoefficientMatrix:
     )
 
 
-def _all_close(values) -> bool:
-    v = np.asarray(values, dtype=float)
-    return bool(np.max(v) - np.min(v) <= PATTERN_ATOL)
+def _constant(values: np.ndarray) -> bool:
+    return bool(np.all(values == values[0]))
 
 
 def matches_constant_ckl(A: CoefficientMatrix) -> bool:
-    """True when all a_i, all b_i and all c_i are separately equal."""
+    """True when the a_i, the b_i and the c_i are each exactly equal."""
     if A.n != 3:
         return False
-    return _all_close(A.a_diag) and _all_close(A.b_cyclic) and _all_close(A.c_cyclic)
+    return _constant(A.a_diag) and _constant(A.b_cyclic) and _constant(A.c_cyclic)
 
 
 def matches_kye_form(A: CoefficientMatrix) -> bool:
-    """True when all a_i are equal and every b slot is exactly zero.
-
-    No tolerance on b: the zero-b theorem refutes positivity, and a b slot
-    of 1e-13 against a c slot of 1e13 makes a positive map.
-    """
+    """True when the a_i are exactly equal and every b slot is exactly zero."""
     if A.n != 3:
         return False
-    return _all_close(A.a_diag) and not np.any(A.b_cyclic)
+    return _constant(A.a_diag) and not np.any(A.b_cyclic)
 
 
 def matches_cyclic_bc(A: CoefficientMatrix) -> bool:
-    """True when the b slots share one value and the c slots another."""
+    """True when the b slots are exactly equal, and so are the c slots."""
     if A.n != 3:
         return False
-    return _all_close(A.b_cyclic) and _all_close(A.c_cyclic)
+    return _constant(A.b_cyclic) and _constant(A.c_cyclic)
 
 
 def matches_b_only(A: CoefficientMatrix) -> bool:
-    """True when every c slot is zero and every b slot is positive."""
+    """True when every c slot is exactly zero and every b slot is positive."""
     if A.n != 3:
         return False
-    return bool(np.max(A.c_cyclic) <= PATTERN_ATOL) and bool(np.min(A.b_cyclic) > PATTERN_ATOL)
+    return not np.any(A.c_cyclic) and bool(np.all(A.b_cyclic > 0.0))
 
 
 def classify_form(A: CoefficientMatrix) -> FormClass:

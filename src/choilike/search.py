@@ -230,16 +230,17 @@ def find_positivity_violation(
 
     Stopping.  A start stops when an accepted step gains less than
     _STEP_TOLERANCE, or once step * max|g_T| <= 2^-52 with g_T from
-    _tangent_gradient: its trial point is then within rounding of the
-    unit vector q, whatever the scale of the coefficients.  Near a
-    degenerate minimum or saddle some starts still creep with gains just
-    above _STEP_TOLERANCE until _MAX_ITERATIONS, long after the best start
-    has converged.  The descent therefore also stops once
-    _descent_settled holds: the lowest value is a converged certificate,
-    and no start still moving could end materially below it at its
-    current pace.  A certificate exists when the descent stops early, so
-    whether one is returned is the same as after the full descent; only
-    its last digits may differ.
+    _tangent_gradient: its trial point is then within rounding of the unit
+    vector q, whatever the scale of the coefficients.  A step grows no
+    further than step * max|g_T| = 2, which moves a unit q as far as any
+    longer step; left to grow, it overflows.  Near a degenerate minimum or
+    saddle some starts still creep with gains just above _STEP_TOLERANCE
+    until _MAX_ITERATIONS, long after the best start has converged.  The
+    descent therefore also stops once _descent_settled holds: the lowest
+    value is a converged certificate, and no start still moving could end
+    materially below it at its current pace.  A certificate exists when
+    the descent stops early, so whether one is returned is the same as
+    after the full descent; only its last digits may differ.
     """
     require_tolerance(tolerance)
     if decomposition_check(A)[0]:
@@ -264,8 +265,10 @@ def find_positivity_violation(
         G[won] = newG[improved]
         step[run] *= np.where(improved, _GROW, _SHRINK)
         active[won[last_gain[won] < _STEP_TOLERANCE]] = False
-        moves = step[run] * np.abs(_tangent_gradient(Q[run], grad[run])).max(axis=1)
-        active[run] &= moves > _UNIT_ROUNDING
+        reach = np.abs(_tangent_gradient(Q[run], grad[run])).max(axis=1)
+        over = step[run] * reach > 2.0  # such a step cannot move a unit q any further
+        step[run[over]] = 2.0 / reach[over]
+        active[run] &= step[run] * reach > _UNIT_ROUNDING
         remaining = _MAX_ITERATIONS - it
         if _descent_settled(G, active, last_gain, remaining, tolerance):
             break

@@ -171,6 +171,73 @@ class TestTinyBesideHugeSlots:
         for i, j in [(0, 1), (0, 2), (1, 2)]:
             assert r[i, j] ** 2 <= alpha[i, j] * alpha[j, i]
 
+    # one slot off the constant cyclic pattern (a, b, c) = (0 or 1, tiny, 1e13),
+    # so the constant cyclic theorems do not apply
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "raw,summary",
+        [
+            # pairs (1,3) and (2,3) have a_ij a_ji = 0 beside a zero diagonal: not
+            # positive, although the constant cyclic formula (b c = 1) says positive
+            ([[0, 1e-13, 1e13], [1e13, 0, 0], [0, 1e13, 0]], ["not_positive_proven"]),
+            # T decomposes it, although the strict CKL condition 4bc < (2 - a)^2
+            # on (1, 0, 1e13) says indecomposable
+            (
+                [[1, 0, 1e13], [1e13, 1, 1e-12], [1e-12, 1e13, 1]],
+                ["positive_proven", "decomposable_proven"],
+            ),
+            # pairs (1,3) and (2,3) force M_13 = M_23 = -1 in every decomposition,
+            # so M_12 = 1 against M_12 <= 0: positive, but not decomposable
+            ([[1, 1e-13, 1e13], [1e13, 1, 0], [0, 1e13, 1]], ["positive_proven"]),
+        ],
+        ids=["not-positive", "decomposable", "not-decomposable"],
+    )
+    def test_one_slot_off_the_pattern_is_general(self, tmp_path, capsys, raw, summary):
+        code, doc = run_json(capsys, "analyze", "-i", write(tmp_path, {"A": raw}))
+        assert code == 0
+        assert doc["form"] == "general" and doc["summary"] == summary
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["analyze", "search"])
+    def test_long_run_of_accepted_steps(self, tmp_path, capsys, command):
+        # one start accepts about 1600 steps in a row: a step growing by 1.25
+        # on each overflowed the norm of the projection
+        path = write(tmp_path, {"A": [[0, 1, 1e-13], [0, 0, 1e-13], [1, 0, 0]]})
+        code, doc = run_json(capsys, command, "-i", path)
+        assert code == 0 and doc["summary"] == ["not_positive_proven"]
+
+
+# slot values of the constant patterns below: zero, tiny, order one and huge
+NEAR_PATTERN_SLOTS = np.array([0.0, 1e-13, 1e-12, 0.25, 0.5, 1.0, 2.0, 1e12, 1e13])
+
+
+def near_pattern_maps(count: int):
+    """Constant cyclic matrices with one slot zeroed or moved by at most 1e-12."""
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        a, b, c = rng.choice(NEAR_PATTERN_SLOTS, 3)
+        m = np.array([[a, b, c], [c, a, b], [b, c, a]])
+        i, j = rng.integers(0, 3, 2)
+        if rng.random() < 0.5:
+            m[i, j] = 0.0
+        else:
+            m[i, j] = max(0.0, m[i, j] + rng.uniform(-1e-12, 1e-12))
+        yield m
+
+
+class TestNearPatterns:
+    @pytest.mark.filterwarnings("error")
+    def test_no_theorem_row_decides_outside_its_pattern(self):
+        # a theorem row run on a map that misses its pattern by rounding
+        # contradicts the rows that read the map as it is
+        failures = []
+        for m in near_pattern_maps(1000):
+            try:
+                cli.run_analysis(validate_coefficients(m), DEFAULT_MARGIN_BAND, "json")
+            except criteria.InternalInconsistencyError as exc:
+                failures.append((m.tolist(), str(exc)))
+        assert not failures
+
 
 # inconclusive by every formula, but T (lambda_min 0.391) decomposes the map exactly
 STRUCTURED = {"n": 3, "A": [[0.46, 1.17, 1.41], [0.57, 1.72, 0.14], [1.49, 0.32, 1.13]]}

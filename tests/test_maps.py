@@ -599,3 +599,16 @@ class TestClassification:
         a = validate_coefficients([[1, 2, 0.5], [0, 1, 1], [1, 0.3, 1]])
         assert classify_form(a).tag == "general"
         assert classify_form(validate_coefficients(np.eye(4))).tag == "general"
+
+    @pytest.mark.parametrize("i,j", [(i, j) for i in range(3) for j in range(3)])
+    def test_one_ulp_off_a_constant_pattern(self, i, j):
+        # each pattern is the hypothesis of a theorem, so no tolerance applies
+        m = np.array([[1.0, 0.5, 0.25], [0.25, 1.0, 0.5], [0.5, 0.25, 1.0]])
+        m[i, j] = np.nextafter(m[i, j], 2.0)
+        expected = "cyclic_bc" if i == j else "general"
+        assert classify_form(validate_coefficients(m)).tag == expected
+
+    def test_smallest_c_slot_is_not_zero(self):
+        a = validate_coefficients([[1, 1, 1e-50], [0, 1, 1], [1, 0, 1]])
+        assert not matches_b_only(a) and not matches_cyclic_bc(a)
+        assert classify_form(a).tag == "general"
