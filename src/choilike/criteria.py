@@ -44,6 +44,12 @@ NOT_APPLICABLE = "not_applicable"
 MARGINAL = "marginal"
 
 DEFAULT_MARGIN_BAND = 1e-9
+# The least accepted tolerance.  The gap of unit p, q carries rounding of
+# about n^2 eps (its positive terms sum to at most (p.q)^2 <= 1 where it is
+# negative), and the witness check compares least eigenvalues, which carry
+# O(n eps) rounding, against -tolerance: below this floor rounding noise
+# would become verdicts.
+MIN_TOLERANCE = 1e-12
 # How close a* + b must be to 2 for boundary_proposition to apply.  Its
 # determinant identity holds only on the boundary itself, so this is a
 # fixed closeness test, not the user's margin band.
@@ -51,9 +57,14 @@ BOUNDARY_ATOL = 1e-9
 
 
 def require_tolerance(tolerance: float) -> None:
-    """Refuse a margin band or search tolerance that is not finite and positive."""
+    """Refuse a margin band or search tolerance that is not finite or is below MIN_TOLERANCE."""
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+    if tolerance < MIN_TOLERANCE:
+        raise ValueError(
+            f"tolerance must be at least {MIN_TOLERANCE:g}, the rounding level of the"
+            f" certificate checks, got {tolerance!r}"
+        )
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -410,7 +421,7 @@ def full_report(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Cond
     positivity or decomposability is proven together with its negation
     only when an implementation bug makes two theorems disagree, which
     ``summarize`` raises as InternalInconsistencyError.  A band that is
-    not finite and positive raises ValueError.
+    not finite or is below MIN_TOLERANCE raises ValueError.
     """
     require_tolerance(band)
     rows: list[tuple[str, Verdict]] = []

@@ -52,7 +52,6 @@ _GROW = 1.25
 _SHRINK = 0.5
 _MAX_ITERATIONS = 2000
 _STEP_TOLERANCE = 1e-12  # a start whose accepted step gains less than this stops
-_SETTLED_REL = 1e-4
 _UNIT_ROUNDING = 2.0 ** -52  # spacing of doubles just above 1: the least move of a unit q
 _STARTS = 64
 
@@ -160,32 +159,16 @@ def _project_unit_nonneg(mat: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return out
 
 
-def _descent_settled(G, active, last_gain, remaining: int, tolerance: float) -> bool:
-    """True when the violation descent may stop before every start has converged.
-
-    The lowest value must belong to a converged start and lie below
-    -tolerance, so it is a certificate.  Each start still moving must then
-    either lie within _SETTLED_REL of it, relative (the same minimum, which
-    the converged start already holds to that accuracy), or stay above it
-    even if its last gain repeated for all ``remaining`` iterations.
-    """
-    best = int(np.argmin(G))
-    low = G[best]
-    if active[best] or low >= -tolerance:
-        return False
-    moving = active & (G > low - _SETTLED_REL * low) & (G - last_gain * remaining < low)
-    return not np.any(moving)
-
-
 def _tangent_gradient(Q: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """The part of each gradient row that the projection does not undo.
 
-    A step along -g leaves q_i = 0 clamped where g_i > 0, and its radial
-    part (g.q) q only rescales q, which the renormalization undoes; what
-    remains is how far the step moves the unit vector q, per unit step.
+    The radial part (g.q) q of a step along -g only rescales q, which the
+    renormalization undoes; what remains is how far the step moves the
+    unit vector q, per unit step.  The clamp undoes nothing more: where
+    q_i = 0 the gradient of _eliminate_p is exactly -2 (p.q) p_i <= 0, so
+    the step never pushes q_i below zero.
     """
-    blocked = (Q == 0.0) & (grad > 0.0)
-    return np.where(blocked, 0.0, grad) - (grad * Q).sum(axis=1, keepdims=True) * Q
+    return grad - (grad * Q).sum(axis=1, keepdims=True) * Q
 
 
 def _eliminate_p(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -217,7 +200,8 @@ def find_positivity_violation(
     _start_points; the projection clamps negatives and renormalizes.
     Returns the best certificate, unit p, q >= 0, when the gap evaluated
     there is below -tolerance, otherwise None (which proves nothing).  A
-    tolerance that is not finite and positive raises ValueError.
+    tolerance that is not finite or is below criteria.MIN_TOLERANCE raises
+    ValueError.
 
     Early exit.  The search first returns None when decomposition_check
     verifies a decomposition of the map exactly.  A decomposable map is
@@ -233,14 +217,14 @@ def find_positivity_violation(
     _tangent_gradient: its trial point is then within rounding of the unit
     vector q, whatever the scale of the coefficients.  A step grows no
     further than step * max|g_T| = 2, which moves a unit q as far as any
-    longer step; left to grow, it overflows.  Near a degenerate minimum or
-    saddle some starts still creep with gains just above _STEP_TOLERANCE
-    until _MAX_ITERATIONS, long after the best start has converged.  The
-    descent therefore also stops once _descent_settled holds: the lowest
-    value is a converged certificate, and no start still moving could end
-    materially below it at its current pace.  A certificate exists when
-    the descent stops early, so whether one is returned is the same as
-    after the full descent; only its last digits may differ.
+    longer step; left to grow, it overflows.  The descent ends when every
+    start has stopped, after _MAX_ITERATIONS, or as soon as the lowest
+    value belongs to a stopped start and lies below -tolerance: that
+    start is a certificate, and a certificate needs only the sign of its
+    gap.  Starts still moving could lower the gap a little further, but
+    they cannot undo the certificate; near a degenerate minimum or saddle
+    some of them would creep with gains just above _STEP_TOLERANCE until
+    _MAX_ITERATIONS.
     """
     require_tolerance(tolerance)
     if decomposition_check(A)[0]:
@@ -250,28 +234,25 @@ def find_positivity_violation(
     G, P, grad = _eliminate_p(w, Q)
     step = np.full(_STARTS, 0.25)
     active = np.ones(_STARTS, dtype=bool)
-    last_gain = np.full(_STARTS, np.inf)  # gain of each start's latest accepted step
 
-    for it in range(_MAX_ITERATIONS):
-        if not np.any(active):
-            break
+    for _ in range(_MAX_ITERATIONS):
+        low = int(np.argmin(G))
+        if (not active[low] and G[low] < -tolerance) or not np.any(active):
+            break  # the lowest value is a converged certificate, or every start has stopped
         run = np.flatnonzero(active)
         newQ = _project_unit_nonneg(Q[run] - step[run, None] * grad[run], Q[run])
         newG, newP, newGrad = _eliminate_p(w, newQ)
         improved = newG < G[run]
         won = run[improved]
+        gain = G[won] - newG[improved]
         Q[won], P[won], grad[won] = newQ[improved], newP[improved], newGrad[improved]
-        last_gain[won] = G[won] - newG[improved]
         G[won] = newG[improved]
         step[run] *= np.where(improved, _GROW, _SHRINK)
-        active[won[last_gain[won] < _STEP_TOLERANCE]] = False
+        active[won[gain < _STEP_TOLERANCE]] = False
         reach = np.abs(_tangent_gradient(Q[run], grad[run])).max(axis=1)
         over = step[run] * reach > 2.0  # such a step cannot move a unit q any further
         step[run[over]] = 2.0 / reach[over]
         active[run] &= step[run] * reach > _UNIT_ROUNDING
-        remaining = _MAX_ITERATIONS - it
-        if _descent_settled(G, active, last_gain, remaining, tolerance):
-            break
 
     best = int(np.argmin(G))  # first minimal index: lexicographic (value, start)
     p_best, q_best = P[best], Q[best]
@@ -432,7 +413,8 @@ def indecomposability_probe(
     the n^2 x n^2 state and its blockwise transpose.  Returns None when no
     witness below -tolerance is found, which proves nothing; a least
     eigenvalue below -tolerance raises InternalInconsistencyError.  A
-    tolerance that is not finite and positive raises ValueError.
+    tolerance that is not finite or is below criteria.MIN_TOLERANCE raises
+    ValueError.
     """
     require_tolerance(tolerance)
     n = A.n

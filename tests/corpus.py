@@ -16,8 +16,9 @@ The corpus is rebuilt here from seeds, in a fixed order:
   n = 3..8 and d = n - 2 + 0, 0.125, ..., 0.625;
 * the four ``reproduce`` names at their default parameters.
 
-``flag_ledger.txt`` next to this file holds one line per input, its name
-and the summary flags of ``analyze`` at the default tolerance.  Rewrite it
+``flag_ledger.txt`` next to this file holds one line per input: its name,
+the summary flags of ``analyze`` at the default tolerance and, after a
+second space, the certificates the report carries, if any.  Rewrite it
 after an intended change with
 
     PYTHONPATH=src python tests/corpus.py
@@ -47,6 +48,8 @@ CONTRADICTIONS = (
     {"decomposable_proven", "indecomposable_proven"},
     {"cp_proven", "indecomposable_proven"},
 )
+# the report keys of the search certificates, pinned in the ledger beside the flags
+CERTIFICATES = ("violation_certificate", "ppt_witness")
 
 
 def _recipes() -> list[tuple[str, np.ndarray]]:
@@ -106,23 +109,35 @@ def analyze(entry: np.ndarray | str) -> dict:
     return run_analysis(validate_coefficients(entry), DEFAULT_MARGIN_BAND, "json")
 
 
+def labels(report: dict) -> tuple[str, ...]:
+    """The summary flags of a report, then the certificates it carries."""
+    return tuple(report["summary"]) + tuple(key for key in CERTIFICATES if key in report)
+
+
+def _ledger_line(name: str, report: dict) -> str:
+    certificates = ",".join(key for key in CERTIFICATES if key in report)
+    return f"{name} {','.join(report['summary'])} {certificates}".rstrip()
+
+
 def read_ledger() -> dict[str, tuple[str, ...]]:
+    """The pinned labels of each input: its flags, then its certificates."""
     ledger = {}
     for line in LEDGER.read_text(encoding="utf-8").splitlines():
-        name, flags = line.split(" ", 1)
-        ledger[name] = tuple(flags.split(","))
+        name, *fields = line.split(" ")
+        ledger[name] = tuple(",".join(fields).split(","))
     return ledger
 
 
-def ledger_problems(pinned: tuple[str, ...], flags: tuple[str, ...]) -> list[str]:
-    """What ``flags`` lost from the pinned flags or gained against them.
+def ledger_problems(pinned: tuple[str, ...], labels: tuple[str, ...]) -> list[str]:
+    """What ``labels`` lost from the pinned ones or gained against them.
 
     "inconclusive" is the absence of a positivity proof, so losing it is
-    not a loss; a gained flag that contradicts none pinned is an
-    intended change, to be re-pinned.
+    not a loss; a certificate is lost like a flag.  A gained flag or
+    certificate that contradicts none pinned is an intended change, to be
+    re-pinned.
     """
-    lost = [f"lost {f}" for f in pinned if f != "inconclusive" and f not in flags]
-    gained = set(flags) - set(pinned)
+    lost = [f"lost {f}" for f in pinned if f != "inconclusive" and f not in labels]
+    gained = set(labels) - set(pinned)
     clashes = [
         f"gained {f} against {g}"
         for f in sorted(gained)
@@ -133,7 +148,7 @@ def ledger_problems(pinned: tuple[str, ...], flags: tuple[str, ...]) -> list[str
 
 
 def write_ledger() -> None:
-    lines = [f"{name} {','.join(analyze(entry)['summary'])}\n" for name, entry in corpus()]
+    lines = [_ledger_line(name, analyze(entry)) + "\n" for name, entry in corpus()]
     LEDGER.write_text("".join(lines), encoding="utf-8")
 
 

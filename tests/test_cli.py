@@ -535,8 +535,9 @@ class TestErrors:
             (["--tol", "inf"], "error: tolerance must be finite and positive"),
             (["--tol=-inf"], "error: tolerance must be finite and positive"),
             (["--tol", "0"], "error: tolerance must be finite and positive"),
+            (["--tol", "1e-16"], "error: tolerance must be at least 1e-12"),
         ],
-        ids=["tol-nan", "tol-inf", "tol-minus-inf", "tol-zero"],
+        ids=["tol-nan", "tol-inf", "tol-minus-inf", "tol-zero", "tol-below-floor"],
     )
     def test_bad_settings_refused_before_any_work(
         self, tmp_path, capsys, monkeypatch, command, flags, message
