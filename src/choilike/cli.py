@@ -133,7 +133,6 @@ def build_document(
     violation: ViolationCertificate | None,
     witness: PptWitnessCertificate | None,
     tolerance: float,
-    output_format: str,
     summary: tuple[str, ...],
     extra: dict | None = None,
 ) -> dict:
@@ -150,7 +149,7 @@ def build_document(
         doc["violation_certificate"] = _violation_dict(violation)
     if witness is not None:
         doc["ppt_witness"] = _witness_dict(witness)
-    doc["config"] = {"tolerance": tolerance, "format": output_format}
+    doc["config"] = {"tolerance": tolerance}  # main adds the output format
     doc["version"] = __version__
     return doc
 
@@ -203,9 +202,7 @@ def emit(doc: dict, fmt: str) -> None:
         sys.stdout.write(render_text(doc))
 
 
-def run_analysis(
-    A: CoefficientMatrix, tolerance: float, output_format: str, x: np.ndarray | None = None
-) -> dict:
+def run_analysis(A: CoefficientMatrix, tolerance: float, x: np.ndarray | None = None) -> dict:
     """Full criteria report plus certificate searches.
 
     A certificate joins a copy of the report's proofs, and the flags come
@@ -227,7 +224,7 @@ def run_analysis(
     summary = summarize(proofs, affirmative(report.verdict("cp")))
     extra = None
     if x is not None:
-        chk = verify_counterexample(A, x)
+        chk = verify_counterexample(A, x, tolerance)
         extra = {
             "counterexample_check": {
                 "input_psd": chk.input_psd,
@@ -235,33 +232,7 @@ def run_analysis(
                 "image_psd": chk.psd,
             }
         }
-    return build_document(A, report, violation, witness, tolerance, output_format, summary, extra)
-
-
-def cmd_analyze(path: str, tolerance: float, output_format: str) -> dict:
-    A, x = read_matrix_file(path)
-    return run_analysis(A, tolerance, output_format, x)
-
-
-def cmd_search(path: str, tolerance: float, output_format: str) -> dict:
-    A, _ = read_matrix_file(path)
-    violation = find_positivity_violation(A, tolerance)
-    summary = ("not_positive_proven",) if violation else ("inconclusive",)
-    return build_document(A, None, violation, None, tolerance, output_format, summary)
-
-
-def cmd_probe(path: str, tolerance: float, output_format: str) -> dict:
-    A, _ = read_matrix_file(path)
-    witness = indecomposability_probe(A, tolerance)
-    summary = ("indecomposable_proven",) if witness else ("inconclusive",)
-    return build_document(A, None, None, witness, tolerance, output_format, summary)
-
-
-def counterexample_instance() -> tuple[CoefficientMatrix, np.ndarray]:
-    """The half/one/two counterexample with its rank-one input."""
-    A = validate_coefficients([[0.5, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 2.0]])
-    zeta = np.array([2.0 ** (1.0 / 3.0), 2.0 ** (-1.0 / 6.0), 2.0 ** (-1.0 / 6.0)])
-    return A, outer_product(zeta)
+    return build_document(A, report, violation, witness, tolerance, summary, extra)
 
 
 def _witness_headline(doc: dict) -> str:
@@ -271,16 +242,16 @@ def _witness_headline(doc: dict) -> str:
     return "indecomposability witness normalized value = %.9f" % w["normalized_value"]
 
 
-def cmd_reproduce(
-    name: str, tolerance: float, output_format: str, a_params: list[float] | None
-) -> dict:
+def cmd_reproduce(name: str, tolerance: float, a_params: list[float] | None) -> dict:
     if name == "choi":
         A = validate_coefficients([[1, 0, 1], [1, 1, 0], [0, 1, 1]])
-        doc = run_analysis(A, tolerance, output_format)
+        doc = run_analysis(A, tolerance)
         doc["headline"] = _witness_headline(doc)
     elif name == "example5":
-        A, x = counterexample_instance()
-        doc = run_analysis(A, tolerance, output_format, x)
+        # the half/one/two counterexample with its rank-one input
+        A = validate_coefficients([[0.5, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 2.0]])
+        zeta = np.array([2.0 ** (1.0 / 3.0), 2.0 ** (-1.0 / 6.0), 2.0 ** (-1.0 / 6.0)])
+        doc = run_analysis(A, tolerance, outer_product(zeta))
         chk = doc["counterexample_check"]
         doc["headline"] = (
             "det(image of the rank-one input) = %.9f (input psd: %s, image psd: %s)"
@@ -295,7 +266,7 @@ def cmd_reproduce(
         if b < 0:
             raise ValueError(f"a* = {a_star} exceeds 2; no boundary instance")
         A = validate_coefficients([[a1, b, 0.0], [0.0, a2, b], [b, 0.0, a3]])
-        doc = run_analysis(A, tolerance, output_format)
+        doc = run_analysis(A, tolerance)
         row = next(c for c in doc["conditions"] if c["name"] == "boundary_proposition")
         doc["headline"] = f"boundary determinant check: {row['detail']}"
     elif name == "kye-boundary":
@@ -304,7 +275,7 @@ def cmd_reproduce(
             raise ValueError("kye boundary needs 0 <= a <= 2")
         c = 2.0 - a
         A = kye_matrix(KyeParams(a, c, c, c))
-        doc = run_analysis(A, tolerance, output_format)
+        doc = run_analysis(A, tolerance)
         doc["headline"] = _witness_headline(doc)
     else:
         raise ValueError(f"unknown reproduction name {name!r}")
@@ -359,16 +330,26 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(
                     f"reproduce {args.name} takes {count} value(s) via --a, got {len(args.a)}"
                 )
-            doc = cmd_reproduce(args.name, args.tol, args.format, args.a)
+            doc = cmd_reproduce(args.name, args.tol, args.a)
         else:
-            runner = {"analyze": cmd_analyze, "search": cmd_search, "probe": cmd_probe}
-            doc = runner[args.command](args.input, args.tol, args.format)
+            A, x = read_matrix_file(args.input)
+            if args.command == "analyze":
+                doc = run_analysis(A, args.tol, x)
+            elif args.command == "search":
+                violation = find_positivity_violation(A, args.tol)
+                summary = ("not_positive_proven",) if violation else ("inconclusive",)
+                doc = build_document(A, None, violation, None, args.tol, summary)
+            else:
+                witness = indecomposability_probe(A, args.tol)
+                summary = ("indecomposable_proven",) if witness else ("inconclusive",)
+                doc = build_document(A, None, None, witness, args.tol, summary)
     except InternalInconsistencyError as exc:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return 2
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    doc["config"]["format"] = args.format
     emit(doc, args.format)
     return 0
 

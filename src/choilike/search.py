@@ -53,7 +53,8 @@ _SHRINK = 0.5
 _MAX_ITERATIONS = 2000
 _STEP_TOLERANCE = 1e-12  # a start whose accepted step gains less than this stops
 _UNIT_ROUNDING = 2.0 ** -52  # spacing of doubles just above 1: the least move of a unit q
-_STARTS = 64
+_STARTS = 64  # rows of the violation search, unless the pair seeds alone fill them
+_MIN_RANDOM = 8  # random rows kept beside any number of pair seeds
 
 
 @dataclass(frozen=True)
@@ -137,14 +138,17 @@ def _pair_seeds(A: CoefficientMatrix) -> list[np.ndarray]:
 
 
 def _start_points(A: CoefficientMatrix) -> np.ndarray:
-    """The _STARTS rows q of the violation search: pair seeds first, then random points.
+    """The rows q of the violation search: every pair seed, then random points.
 
+    The random points fill the rows up to _STARTS, and number at least
+    _MIN_RANDOM: from n = 9 on the pair seeds alone can reach _STARTS.
     The random rows are -log of uniform draws, normalized, from a generator
     with a fixed seed built here, so that no call sees the state another
     call left behind and the start set is a function of A alone.
     """
-    seeds = np.reshape(_pair_seeds(A)[:_STARTS], (-1, A.n))
-    draws = -np.log(np.random.default_rng(42).random((_STARTS - len(seeds), A.n)))
+    seeds = np.reshape(_pair_seeds(A), (-1, A.n))
+    count = max(_STARTS - len(seeds), _MIN_RANDOM)
+    draws = -np.log(np.random.default_rng(42).random((count, A.n)))
     return np.concatenate([seeds, draws / np.linalg.norm(draws, axis=1, keepdims=True)])
 
 
@@ -232,8 +236,8 @@ def find_positivity_violation(
     w = A.a + np.eye(A.n)
     Q = _start_points(A)
     G, P, grad = _eliminate_p(w, Q)
-    step = np.full(_STARTS, 0.25)
-    active = np.ones(_STARTS, dtype=bool)
+    step = np.full(len(Q), 0.25)
+    active = np.ones(len(Q), dtype=bool)
 
     for _ in range(_MAX_ITERATIONS):
         low = int(np.argmin(G))
@@ -263,13 +267,19 @@ def find_positivity_violation(
     return ViolationCertificate(p=p_best, q=q_best, gap=gap, residual_check=residual)
 
 
-def verify_counterexample(A: CoefficientMatrix, X) -> CounterexampleCheck:
-    """Apply the map to X and report the determinant and both PSD flags."""
+def verify_counterexample(
+    A: CoefficientMatrix, X, tolerance: float = DEFAULT_MARGIN_BAND
+) -> CounterexampleCheck:
+    """Apply the map to X and report the determinant and both PSD flags.
+
+    A matrix passes as PSD when its least eigenvalue is at least -tolerance.
+    """
+    require_tolerance(tolerance)
     x = require_hermitian(X)
     image = apply_map(A, x)
     det = determinant(image)
-    image_psd, _ = is_psd(image)
-    input_psd, _ = is_psd(x)
+    image_psd, _ = is_psd(image, tolerance)
+    input_psd, _ = is_psd(x, tolerance)
     return CounterexampleCheck(image=image, det=det, psd=image_psd, input_psd=input_psd)
 
 

@@ -103,10 +103,10 @@ def corpus() -> list[tuple[str, np.ndarray | str]]:
 
 
 def analyze(entry: np.ndarray | str) -> dict:
-    """The json report of ``analyze`` (or ``reproduce``) on one entry, at the default tolerance."""
+    """The report of ``analyze`` (or ``reproduce``) on one entry, at the default tolerance."""
     if isinstance(entry, str):
-        return cmd_reproduce(entry, DEFAULT_MARGIN_BAND, "json", None)
-    return run_analysis(validate_coefficients(entry), DEFAULT_MARGIN_BAND, "json")
+        return cmd_reproduce(entry, DEFAULT_MARGIN_BAND, None)
+    return run_analysis(validate_coefficients(entry), DEFAULT_MARGIN_BAND)
 
 
 def labels(report: dict) -> tuple[str, ...]:

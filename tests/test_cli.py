@@ -121,6 +121,15 @@ class TestAnalyze:
         verdicts = {c["name"]: c["status"] for c in doc["conditions"]}
         assert verdicts["boundary_proposition"] == "not_applicable"
 
+    def test_tolerance_sets_the_x_checks(self, tmp_path, capsys):
+        # eigenvalue -1e-7 of X lies between the default band and 1e-6
+        x = [[1, 0, 0], [0, 1e-3, 0], [0, 0, -1e-7]]
+        path = write(tmp_path, {"A": CHOI["A"], "X": x})
+        code, doc = run_json(capsys, "analyze", "-i", path)
+        assert code == 0 and doc["counterexample_check"]["input_psd"] is False
+        code, doc = run_json(capsys, "analyze", "-i", path, "--tol", "1e-6")
+        assert code == 0 and doc["counterexample_check"]["input_psd"] is True
+
     def test_text_format(self, tmp_path, capsys):
         path = write(tmp_path, CHOI)
         code, out = run_cli(capsys, "analyze", "-i", path)
@@ -233,7 +242,7 @@ class TestNearPatterns:
         failures = []
         for m in near_pattern_maps(1000):
             try:
-                cli.run_analysis(validate_coefficients(m), DEFAULT_MARGIN_BAND, "json")
+                cli.run_analysis(validate_coefficients(m), DEFAULT_MARGIN_BAND)
             except criteria.InternalInconsistencyError as exc:
                 failures.append((m.tolist(), str(exc)))
         assert not failures
@@ -296,7 +305,7 @@ class TestRunAnalysis:
         # generalized Choi map n = 4: no criterion proves anything, the probe finds a witness
         a = [[2.375 if i == j else 1.0 if j == (i - 1) % 4 else 0.0 for j in range(4)]
              for i in range(4)]
-        doc = cli.run_analysis(validate_coefficients(a), DEFAULT_MARGIN_BAND, "text")
+        doc = cli.run_analysis(validate_coefficients(a), DEFAULT_MARGIN_BAND)
         assert doc["summary"] == ["inconclusive", "indecomposable_proven"]
         assert "ppt_witness" in doc and "violation_certificate" not in doc
 
@@ -321,6 +330,27 @@ class TestRunAnalysis:
         assert "indecomposable_proven" in doc["summary"] and "ppt_witness" in doc
 
 
+# n = 9 with 71 pair seeds: only a random start of the violation search refutes it
+WIDE9 = {"A": [
+    [5.3, 0.7, 1.2, 0.9, 0.0, 0.4, 0.1, 1.2, 1.2], [1.3, 2.5, 0.5, 0.7, 1.3, 1.2, 1.1, 1.0, 1.1],
+    [0.7, 0.8, 6.1, 0.8, 0.4, 1.3, 1.4, 1.2, 0.8], [0.3, 1.0, 0.8, 2.0, 1.3, 0.2, 1.1, 0.8, 1.5],
+    [0.1, 0.8, 0.3, 0.5, 1.9, 1.3, 0.2, 1.5, 0.3], [0.5, 1.0, 0.5, 0.4, 1.5, 0.7, 0.1, 0.7, 0.3],
+    [0.7, 0.6, 0.1, 0.7, 0.6, 1.2, 1.4, 0.7, 1.0], [1.0, 1.3, 0.5, 0.6, 1.1, 0.7, 0.7, 4.3, 1.1],
+    [0.4, 1.3, 0.8, 0.8, 1.4, 1.2, 1.0, 0.6, 3.1],
+]}
+
+
+class TestWideMaps:
+    def test_n9_violation_from_a_random_start(self, tmp_path, capsys):
+        a = validate_coefficients(WIDE9["A"])
+        assert len(search._pair_seeds(a)) == 71
+        cert = search.find_positivity_violation(a)
+        assert cert is not None and cert.gap == pytest.approx(-0.013392, abs=1e-6)
+        assert positivity_gap(a, cert.p, cert.q) == cert.gap
+        code, doc = run_json(capsys, "analyze", "-i", write(tmp_path, WIDE9))
+        assert code == 0 and doc["summary"] == ["not_positive_proven"]
+        assert doc["violation_certificate"]["gap"] == cert.gap
+
 class TestDefaults:
     """criteria.DEFAULT_MARGIN_BAND is the only copy of the default of --tol."""
 
@@ -338,7 +368,9 @@ class TestDefaults:
         assert main(["analyze", "-i", path, "--format", "json"]) == 0
         from_cli = capsys.readouterr().out
         A, x = read_matrix_file(path)
-        cli.emit(cli.run_analysis(A, DEFAULT_MARGIN_BAND, "json", x), "json")
+        doc = cli.run_analysis(A, DEFAULT_MARGIN_BAND, x)
+        doc["config"]["format"] = "json"
+        cli.emit(doc, "json")
         assert capsys.readouterr().out == from_cli
 
 

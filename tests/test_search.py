@@ -349,7 +349,17 @@ class TestRandomStarts:
         cert = find_positivity_violation(a)
         assert cert is not None and cert.gap == pytest.approx(gap, rel=1e-6)
         monkeypatch.setattr(search, "_STARTS", len(search._pair_seeds(a)))
+        monkeypatch.setattr(search, "_MIN_RANDOM", 0)
         assert find_positivity_violation(a) is None
+
+    def test_random_rows_beside_more_seeds_than_starts(self):
+        # every pair of an all-positive n = 16 map has a seed: 240 of them
+        a = validate_coefficients(0.5 + np.random.default_rng(16).random((16, 16)))
+        seeds = search._pair_seeds(a)
+        assert len(seeds) == 240
+        rows = search._start_points(a)
+        assert len(rows) >= len(seeds) + 8
+        assert np.array_equal(rows[: len(seeds)], seeds)
 
 
 class TestCertifiedExit:
