@@ -13,12 +13,13 @@ Two one-sided certificate families are produced here:
 
 The violation search is multi-start projected gradient descent over q,
 with the best p for each q in closed form, an n x n least eigenvector.
-Its starts are a fixed function of A: the closed-form pair seeds, then
-rows from one generator with a fixed seed, built anew in every call.
+Its starts are a fixed function of A: every closed-form pair seed, then
+16 rows from one generator with a fixed seed, built anew in every call.
 The final answer is the lexicographic minimum over (value, start
 index), so results are bit-identical for a given A.  The witness probe
 has no starts and no randomness: it takes the closed-form optimum of its
-structured family, the root of an n x n eigenvalue in one scalar, and
+structured family, the root of an n x n eigenvalue in one scalar, found
+by regula falsi on a bracket that closes to adjacent floats, and
 verifies the witness on the n x n and 2 x 2 blocks into which the state
 and its partial transpose split, without building a matrix of side n^2.
 Absence of a certificate proves nothing.
@@ -53,8 +54,7 @@ _SHRINK = 0.5
 _MAX_ITERATIONS = 2000
 _STEP_TOLERANCE = 1e-12  # a start whose accepted step gains less than this stops
 _UNIT_ROUNDING = 2.0 ** -52  # spacing of doubles just above 1: the least move of a unit q
-_STARTS = 64  # rows of the violation search, unless the pair seeds alone fill them
-_MIN_RANDOM = 8  # random rows kept beside any number of pair seeds
+_RANDOM_STARTS = 16  # random rows of the violation search, beside every pair seed
 
 
 @dataclass(frozen=True)
@@ -138,17 +138,14 @@ def _pair_seeds(A: CoefficientMatrix) -> list[np.ndarray]:
 
 
 def _start_points(A: CoefficientMatrix) -> np.ndarray:
-    """The rows q of the violation search: every pair seed, then random points.
+    """The rows q of the violation search: every pair seed, then _RANDOM_STARTS random points.
 
-    The random points fill the rows up to _STARTS, and number at least
-    _MIN_RANDOM: from n = 9 on the pair seeds alone can reach _STARTS.
     The random rows are -log of uniform draws, normalized, from a generator
     with a fixed seed built here, so that no call sees the state another
     call left behind and the start set is a function of A alone.
     """
     seeds = np.reshape(_pair_seeds(A), (-1, A.n))
-    count = max(_STARTS - len(seeds), _MIN_RANDOM)
-    draws = -np.log(np.random.default_rng(42).random((count, A.n)))
+    draws = -np.log(np.random.default_rng(42).random((_RANDOM_STARTS, A.n)))
     return np.concatenate([seeds, draws / np.linalg.norm(draws, axis=1, keepdims=True)])
 
 
@@ -360,20 +357,40 @@ def _structured_floor(A: CoefficientMatrix) -> float:
 
 
 def _structured_root(a: np.ndarray, floor: float) -> float:
-    """The end of a bisection bracket on [floor, 0] where lambda_min(T_lam) < 0.
+    """The end hi of a bracket [lo, hi] of adjacent floats in [floor, 0] with lambda_min(T_hi) < 0.
 
     T_lam = structured_matrix(a - lam) is the matrix T of the entries
     a_ij - lam.  Every entry of T_lam falls as lam grows, and its diagonal
     with slope -1, so lambda_min(T_lam) falls with slope at most -1: from
     floor < 0 at lam = 0 it is at least 0 at lam = floor, and its root
-    lies between.
+    lies between.  The bracket keeps lambda_min(T_hi) < 0 and
+    lambda_min(T_lo) >= 0, or lo = floor not yet evaluated, and ends when
+    its midpoint falls on an end.  The first trial is the midpoint, so
+    floor itself is never evaluated: within the rounding allowance of the
+    entry check it can exceed 0, where a zero a_ij makes a product
+    (a_ij - lam)(a_ji - lam) negative under its square root.  Each later
+    trial is the regula falsi point of the two ends, kept one float
+    inside the bracket; the value at an end kept twice in a row is
+    halved (the Illinois rule), so both ends close in on the root.
     """
     lo, hi = floor, 0.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if np.linalg.eigvalsh(structured_matrix(a - mid))[0] < 0.0:
-            hi = mid
+    f_lo, f_hi = None, floor  # lambda_min(T_0) = floor
+    kept = 0  # +1 after hi moved, -1 after lo moved
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        f = float(np.linalg.eigvalsh(structured_matrix(a - mid))[0])
+        if f < 0.0:
+            if kept > 0 and f_lo is not None:
+                f_lo *= 0.5
+            hi, f_hi, kept = mid, f, 1
         else:
-            lo = mid
+            if kept < 0:
+                f_hi *= 0.5
+            lo, f_lo, kept = mid, f, -1
+        mid = 0.5 * (lo + hi)
+        if f_lo is not None and lo < mid < hi:
+            guess = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+            mid = min(max(guess, math.nextafter(lo, hi)), math.nextafter(hi, lo))
     return hi
 
 

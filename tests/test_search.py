@@ -1,5 +1,6 @@
 """Tests for the certificate searches and the quadratic functionals."""
 
+import math
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from choilike.maps import (
     apply_map,
     decomposition_check,
     kye_matrix,
+    structured_matrix,
     structured_rounding,
     validate_coefficients,
 )
@@ -348,8 +350,7 @@ class TestRandomStarts:
         a = _corpus_draw(seed, k, sparse)
         cert = find_positivity_violation(a)
         assert cert is not None and cert.gap == pytest.approx(gap, rel=1e-6)
-        monkeypatch.setattr(search, "_STARTS", len(search._pair_seeds(a)))
-        monkeypatch.setattr(search, "_MIN_RANDOM", 0)
+        monkeypatch.setattr(search, "_RANDOM_STARTS", 0)
         assert find_positivity_violation(a) is None
 
     def test_random_rows_beside_more_seeds_than_starts(self):
@@ -358,8 +359,17 @@ class TestRandomStarts:
         seeds = search._pair_seeds(a)
         assert len(seeds) == 240
         rows = search._start_points(a)
-        assert len(rows) >= len(seeds) + 8
+        assert len(rows) == len(seeds) + 16
         assert np.array_equal(rows[: len(seeds)], seeds)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_seed_then_sixteen_random_rows(self, n):
+        a = validate_coefficients(0.5 + np.random.default_rng(n).random((n, n)))
+        seeds = search._pair_seeds(a)
+        rows = search._start_points(a)
+        assert len(rows) == len(seeds) + 16
+        assert np.array_equal(rows[: len(seeds)], seeds)
+        assert np.array_equal(rows, search._start_points(a))
 
 
 class TestCertifiedExit:
@@ -1116,6 +1126,39 @@ class TestClosedFormOptimum:
                 attained += 1
                 assert cert.normalized_value == pytest.approx(lam, abs=1e-12)
         assert attained >= 20
+
+    def test_root_brackets_to_adjacent_floats(self, monkeypatch):
+        # lambda_min(T_hi) < 0 at the returned end and >= 0 one float below it, unless
+        # that float is floor; a regula falsi root takes far fewer eigensolves than the
+        # 55 or so of a bisection to adjacent floats
+        rng = np.random.default_rng(21)
+        maps = [(n, _generalized_choi(n)) for n in range(3, 9)]
+        while len(maps) < 56:
+            n = int(rng.integers(2, 9))
+            a = rng.random((n, n)) * 1.5 * (rng.random((n, n)) > 0.2)
+            if _structured_floor(validate_coefficients(a)) < 0.0:
+                maps.append((None, a))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(m):
+            calls.append(1)
+            return eigvalsh(m)
+
+        def least(a, lam):
+            return eigvalsh(structured_matrix(a - lam))[0]
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for n, raw in maps:
+            a = validate_coefficients(raw)
+            floor = _structured_floor(a)
+            calls.clear()
+            hi = _structured_root(a.a, floor)
+            below = math.nextafter(hi, -math.inf)
+            assert least(a.a, hi) < 0.0, raw.tolist()
+            assert below == floor or least(a.a, below) >= 0.0, raw.tolist()
+            if n is not None and n >= 4:
+                assert len(calls) < 25, (n, len(calls))
 
     def test_pruned_map(self):
         floor = _structured_floor(PRUNED)
