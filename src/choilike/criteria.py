@@ -165,46 +165,41 @@ def average_necessary(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -
     return Verdict(inner.status, inner.margin, detail)
 
 
-def pairwise_necessary(
-    A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND
-) -> list[tuple[tuple[int, int], Verdict]]:
-    """Per-pair necessary bounds sqrt(a_ii a_jj) + sqrt(a_ij a_ji) >= 1.
+def _least_pair(A: CoefficientMatrix, divisor: int) -> tuple[float, int, int]:
+    """The least sqrt(a_ii a_jj)/divisor + sqrt(a_ij a_ji) - 1 over the pairs
+    i < j (0-based), with its pair; a tie keeps the first pair in (i, j) order."""
+    a = A.a.tolist()
+    return min(
+        (math.sqrt(a[i][i] * a[j][j]) / divisor + math.sqrt(a[i][j] * a[j][i]) - 1.0, i, j)
+        for i in range(A.n)
+        for j in range(i + 1, A.n)
+    )
 
-    Any failing pair certifies that the map is not positive.  Pairs with
-    a_ij a_ji = 0 are still evaluated literally (a limiting argument
-    supports necessity there); the detail notes the degeneracy.
+
+def pairwise_necessary(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Verdict:
+    """Necessary bound sqrt(a_ii a_jj) + sqrt(a_ij a_ji) >= 1 on every pair.
+
+    The margin is the least over the pairs, and the detail names the pair
+    that attains it; a failure certifies that the map is not positive.  A
+    pair with a_ij a_ji = 0 is still evaluated literally (a limiting
+    argument supports necessity there); the detail notes the degeneracy
+    when the named pair has it.
     """
-    out = []
-    a = A.a
-    for i in range(A.n):
-        for j in range(i + 1, A.n):
-            cross = a[i, j] * a[j, i]
-            margin = math.sqrt(a[i, i] * a[j, j]) + math.sqrt(cross) - 1.0
-            detail = f"pair ({i + 1},{j + 1})"
-            if cross == 0.0:
-                detail += "; degenerate cross product a_ij*a_ji = 0"
-            out.append(((i + 1, j + 1), make_verdict(margin, band, detail)))
-    return out
+    margin, i, j = _least_pair(A, 1)
+    detail = f"least at pair ({i + 1},{j + 1})"
+    if A.a[i, j] * A.a[j, i] == 0.0:
+        detail += "; degenerate cross product a_ij*a_ji = 0"
+    return make_verdict(margin, band, detail)
 
 
-def pairwise_sufficient(
-    A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND
-) -> list[tuple[tuple[int, int], Verdict]]:
-    """Per-pair sufficient bounds sqrt(a_ii a_jj)/(n-1) + sqrt(a_ij a_ji) >= 1.
+def pairwise_sufficient(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Verdict:
+    """Sufficient bound sqrt(a_ii a_jj)/(n-1) + sqrt(a_ij a_ji) >= 1 on every pair.
 
-    If every pair holds, the map is positive and decomposable.
+    The margin is the least over the pairs, and the detail names the pair
+    that attains it.  When it holds, the map is positive and decomposable.
     """
-    out = []
-    a = A.a
-    for i in range(A.n):
-        for j in range(i + 1, A.n):
-            margin = (
-                math.sqrt(a[i, i] * a[j, j]) / (A.n - 1)
-                + math.sqrt(a[i, j] * a[j, i])
-                - 1.0
-            )
-            out.append(((i + 1, j + 1), make_verdict(margin, band, f"pair ({i + 1},{j + 1})")))
-    return out
+    margin, i, j = _least_pair(A, A.n - 1)
+    return make_verdict(margin, band, f"least at pair ({i + 1},{j + 1})")
 
 
 def c3_mean(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Verdict:
@@ -391,12 +386,10 @@ def summarize(proofs: dict[str, list[str]], cp: bool) -> tuple[str, ...]:
 class ConditionReport:
     """The table of criterion verdicts, what they prove, and the summary flags.
 
-    ``rows`` holds one ``(name, Verdict)`` per criterion, one per index
-    pair for the pairwise bounds, in report order.  ``proofs`` maps
-    "positive", "not_positive", "decomposable" and "indecomposable" to
-    the names of the rows that prove each; the pairwise sufficient
-    bounds prove only all together, under the name
-    "pairwise_sufficient".  ``summary`` is ``summarize(proofs, cp)``.
+    ``rows`` holds one ``(name, Verdict)`` per criterion, the same 13
+    names in report order at every n.  ``proofs`` maps "positive",
+    "not_positive", "decomposable" and "indecomposable" to the names of
+    the rows that prove each.  ``summary`` is ``summarize(proofs, cp)``.
     """
 
     form: FormClass
@@ -415,7 +408,7 @@ class ConditionReport:
 def full_report(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> ConditionReport:
     """Run every criterion in report order and reconcile the summary flags.
 
-    Each criterion adds its rows to one table and names what it proves.
+    Each criterion adds one row to the table and names what it proves.
     Proofs come only from non-marginal verdicts (or, for boundary-
     inclusive conditions, marginal verdicts with nonnegative margin), so
     positivity or decomposability is proven together with its negation
@@ -468,14 +461,8 @@ def full_report(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Cond
     add("kye", kye_verdict, kye_holds, kye_fails)
 
     add("average_necessary", average_necessary(A, band), fails=("not_positive",))
-    for (i, j), v in pairwise_necessary(A, band):
-        add(f"pairwise_necessary_{i}_{j}", v, fails=("not_positive",))
-    psuf = pairwise_sufficient(A, band)
-    for (i, j), v in psuf:
-        add(f"pairwise_sufficient_{i}_{j}", v)
-    if psuf and all(affirmative(v) for _, v in psuf):
-        proofs["positive"].append("pairwise_sufficient")
-        proofs["decomposable"].append("pairwise_sufficient")
+    add("pairwise_necessary", pairwise_necessary(A, band), fails=("not_positive",))
+    add("pairwise_sufficient", pairwise_sufficient(A, band), holds=("positive", "decomposable"))
     add("c3_mean", c3_mean(A, band))
     add("cyclic_necessary", cyclic_necessary(A, band), fails=("not_positive",))
     add("b_only_necessary", b_only_necessary(A, band), fails=("not_positive",))

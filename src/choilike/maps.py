@@ -104,10 +104,10 @@ class FormClass:
 def validate_coefficients(raw) -> CoefficientMatrix:
     """Validate a square nonnegative array into a CoefficientMatrix.
 
-    Entries in (-1e-12, 0) are treated as round-off and clamped to zero;
-    anything more negative is rejected, and so is a nonzero entry outside
-    COEFFICIENT_RANGE.  Strings, booleans and other non-numbers are
-    rejected rather than converted.
+    Entries in (-1e-12, 0) are treated as round-off and clamped to zero,
+    and -0.0 becomes 0.0; anything more negative is rejected, and so is a
+    nonzero entry outside COEFFICIENT_RANGE.  Strings, booleans and other
+    non-numbers are rejected rather than converted.
     """
     a = np.asarray(raw)
     if a.dtype.kind not in "iuf":
@@ -126,7 +126,7 @@ def validate_coefficients(raw) -> CoefficientMatrix:
     if np.min(a) < -NEGATIVE_CLAMP:
         i, j = np.unravel_index(int(np.argmin(a)), a.shape)
         raise ValueError(f"negative coefficient a[{i + 1}][{j + 1}] = {a[i, j]}")
-    a = np.where(a < 0.0, 0.0, a)
+    a = np.where(a <= 0.0, 0.0, a)
     low, high = COEFFICIENT_RANGE
     outside = (a != 0.0) & ((a < low) | (a > high))
     if outside.any():

@@ -5,8 +5,8 @@ n^2 or a product vector.  The tests do, to check the n x n shortcuts
 against the textbook objects: the block (Choi) matrix and its partial
 transpose, the shift average, the rescaled constant maps with their
 dominance certificate, the sum-of-squares split of the positivity gap,
-and the paper's witness vectors.  Test files import this module as
-``oracles``.
+the per-pair bounds that the pairwise rows take the least of, and the
+paper's witness vectors.  Test files import this module as ``oracles``.
 
 Block conventions are those of ``choilike.linalg``: a matrix of side n^2
 is an n x n grid of n x n blocks, with row index i * n + k addressing
@@ -15,6 +15,7 @@ entry k of block row i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from choilike.criteria import (
     Verdict,
     affirmative,
     ckl_is_positive,
+    make_verdict,
     not_applicable,
 )
 from choilike.linalg import require_hermitian
@@ -150,6 +152,47 @@ def scaling_sufficient(
     margin = float(np.min(A.a - reference.a))
     status = HOLDS if margin >= -1e-12 else FAILS
     return Verdict(status, margin, "minimum entry of the dominance gap matrix")
+
+
+def pairwise_necessary_by_pair(
+    A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND
+) -> list[tuple[tuple[int, int], Verdict]]:
+    """The necessary bound sqrt(a_ii a_jj) + sqrt(a_ij a_ji) >= 1 on each pair i < j.
+
+    One 1-based ``((i, j), Verdict)`` per pair, in (i, j) order; a pair
+    with a_ij a_ji = 0 notes the degeneracy in its detail.
+    """
+    out = []
+    a = A.a
+    for i in range(A.n):
+        for j in range(i + 1, A.n):
+            cross = a[i, j] * a[j, i]
+            margin = math.sqrt(a[i, i] * a[j, j]) + math.sqrt(cross) - 1.0
+            detail = f"pair ({i + 1},{j + 1})"
+            if cross == 0.0:
+                detail += "; degenerate cross product a_ij*a_ji = 0"
+            out.append(((i + 1, j + 1), make_verdict(margin, band, detail)))
+    return out
+
+
+def pairwise_sufficient_by_pair(
+    A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND
+) -> list[tuple[tuple[int, int], Verdict]]:
+    """The sufficient bound sqrt(a_ii a_jj)/(n-1) + sqrt(a_ij a_ji) >= 1 on each pair i < j.
+
+    One 1-based ``((i, j), Verdict)`` per pair, in (i, j) order.
+    """
+    out = []
+    a = A.a
+    for i in range(A.n):
+        for j in range(i + 1, A.n):
+            margin = (
+                math.sqrt(a[i, i] * a[j, j]) / (A.n - 1)
+                + math.sqrt(a[i, j] * a[j, i])
+                - 1.0
+            )
+            out.append(((i + 1, j + 1), make_verdict(margin, band, f"pair ({i + 1},{j + 1})")))
+    return out
 
 
 def cyclic_form_witness(a1: float, a2: float, a3: float) -> np.ndarray:

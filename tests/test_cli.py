@@ -65,7 +65,7 @@ class TestAnalyze:
         assert "ppt_witness" in doc and "violation_certificate" not in doc
         assert doc["ppt_witness"]["normalized_value"] <= -1 / 7 + 1e-6
         names = {c["name"] for c in doc["conditions"]}
-        assert {"cp", "ckl_positive", "pairwise_necessary_1_2", "scaling_sufficient"} <= names
+        assert {"cp", "ckl_positive", "pairwise_necessary", "scaling_sufficient"} <= names
 
     def test_counterexample_report(self, tmp_path, capsys):
         path = write(tmp_path, counterexample_payload())
@@ -137,6 +137,16 @@ class TestAnalyze:
         assert "summary: positive_proven, indecomposable_proven" in out
         assert "ckl_positive" in out
 
+
+    def test_negative_zero_reports_as_zero(self, tmp_path, capsys):
+        outputs = []
+        for zero in (-0.0, 0):
+            path = write(tmp_path, {"A": [[zero, 1, 0], [1, 1, 0], [0, 1, 1]]})
+            code, out = run_cli(capsys, "analyze", "-i", path, "--format", "json")
+            assert code == 0
+            outputs.append(out)
+        assert "-0.0" not in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_kye_edge_points_complete(self, tmp_path, capsys):
         # a = 2, b = 0 sits on kye_check's excluded edge and on the

@@ -13,6 +13,7 @@ from choilike.criteria import (
     MARGINAL,
     NOT_APPLICABLE,
     InternalInconsistencyError,
+    Verdict,
     affirmative,
     average_necessary,
     b_only_necessary,
@@ -38,6 +39,8 @@ from choilike.maps import (
 from oracles import (
     ScalingVector,
     constant_ckl_matrix,
+    pairwise_necessary_by_pair,
+    pairwise_sufficient_by_pair,
     scaled_ckl_matrix,
     scaling_sufficient,
 )
@@ -124,44 +127,97 @@ class TestAverageNecessary:
         assert average_necessary(validate_coefficients(np.eye(2))).status == NOT_APPLICABLE
 
 
+def _pairwise_draws():
+    """Seeded coefficient arrays at n = 2..16, including maps on which every pair ties."""
+    rng = np.random.default_rng(22)
+    out = []
+    for n in range(2, 17):
+        for _ in range(6):
+            out.append(2.0 * rng.random((n, n)))
+            out.append(1.5 * rng.random((n, n)) * (rng.random((n, n)) > 0.4))
+        # every pair has the margin d / divisor + e - 1, zero (marginal) at e = 1 - d / divisor
+        for d in (0.25, 1.0, n - 1.0, 2.0 * rng.random()):
+            for e in (0.0, 1.0 - d / (n - 1), 1.0 - d, rng.random()):
+                raw = np.full((n, n), max(e, 0.0))
+                np.fill_diagonal(raw, d)
+                out.append(raw)
+    for a, b, c in rng.random((40, 3)) * 2:
+        out.append(constant_ckl_matrix(CklParams(a, b, c)).a)
+    return out
+
+
 class TestPairwise:
     def test_counterexample_margins(self):
-        verdicts = dict(pairwise_necessary(COUNTEREXAMPLE))
-        assert verdicts[(1, 2)].status == FAILS
-        assert abs(verdicts[(1, 2)].margin - (math.sqrt(0.5) - 1)) < 1e-15
-        assert verdicts[(1, 3)].margin == 0.0
-        assert abs(verdicts[(2, 3)].margin - (math.sqrt(2) - 1)) < 1e-15
+        v = pairwise_necessary(COUNTEREXAMPLE)
+        assert v.status == FAILS
+        assert v.detail == "least at pair (1,2); degenerate cross product a_ij*a_ji = 0"
+        assert abs(v.margin - (math.sqrt(0.5) - 1)) < 1e-15
+        by_pair = dict(pairwise_necessary_by_pair(COUNTEREXAMPLE))
+        assert by_pair[(1, 2)].margin == v.margin
+        assert by_pair[(1, 3)].margin == 0.0
+        assert abs(by_pair[(2, 3)].margin - (math.sqrt(2) - 1)) < 1e-15
 
     def test_all_ones(self):
-        for _, v in pairwise_necessary(ALL_ONES):
-            assert v.status == HOLDS and v.margin == 1.0
+        v = pairwise_necessary(ALL_ONES)
+        assert v.status == HOLDS and v.margin == 1.0 and v.detail == "least at pair (1,2)"
 
     def test_choi_boundary(self):
-        for _, v in pairwise_necessary(CHOI):
-            assert v.margin == 0.0 and affirmative(v)
+        v = pairwise_necessary(CHOI)
+        assert v.margin == 0.0 and affirmative(v)
+        assert v.detail == "least at pair (1,2); degenerate cross product a_ij*a_ji = 0"
 
     def test_sufficient_all_ones(self):
-        for _, v in pairwise_sufficient(ALL_ONES):
-            assert v.status == HOLDS and abs(v.margin - 0.5) < 1e-15
+        v = pairwise_sufficient(ALL_ONES)
+        assert v.status == HOLDS and abs(v.margin - 0.5) < 1e-15
 
     def test_sufficient_choi_fails(self):
-        for _, v in pairwise_sufficient(CHOI):
-            assert v.status == FAILS and abs(v.margin + 0.5) < 1e-15
+        v = pairwise_sufficient(CHOI)
+        assert v.status == FAILS and abs(v.margin + 0.5) < 1e-15
 
     def test_sufficient_n2_unit(self):
-        a = validate_coefficients(np.eye(2))
-        ((_, v),) = pairwise_sufficient(a)
-        assert v.margin == 0.0 and affirmative(v)
+        v = pairwise_sufficient(validate_coefficients(np.eye(2)))
+        assert v.margin == 0.0 and affirmative(v) and v.detail == "least at pair (1,2)"
 
     def test_sufficient_implies_necessary(self):
         rng = np.random.default_rng(77)
         for _ in range(300):
             n = int(rng.integers(2, 5))
             a = validate_coefficients(rng.random((n, n)) * 3)
-            suff = pairwise_sufficient(a)
-            nec = pairwise_necessary(a)
-            if all(affirmative(v) for _, v in suff):
-                assert all(affirmative(v) for _, v in nec)
+            if affirmative(pairwise_sufficient(a)):
+                assert affirmative(pairwise_necessary(a))
+
+    def test_sufficient_row_is_the_only_proof_on_an_exactly_tight_map(self):
+        # every pair has sufficient margin 0, so T is singular and its exact
+        # check fails by rounding: only pairwise_sufficient proves this map
+        s = 1 - math.sqrt(2) / 2
+        r = full_report(validate_coefficients([[1, 0.5, s], [0.5, 1, s], [s, s, 2]]))
+        assert r.summary == ("positive_proven", "decomposable_proven")
+        assert r.proofs["decomposable"] == ["pairwise_sufficient"]
+        assert r.verdict("structured_decomposition").status == FAILS
+
+    @pytest.mark.parametrize(
+        "row, by_pair",
+        [
+            (pairwise_necessary, pairwise_necessary_by_pair),
+            (pairwise_sufficient, pairwise_sufficient_by_pair),
+        ],
+        ids=["necessary", "sufficient"],
+    )
+    def test_row_is_the_least_pair_of_the_oracle(self, row, by_pair):
+        ties = 0
+        for raw in _pairwise_draws():
+            a = validate_coefficients(raw)
+            v = row(a)
+            pairs = by_pair(a)
+            least = min(w.margin for _, w in pairs)
+            first = next(w for _, w in pairs if w.margin == least)
+            assert v.margin.hex() == least.hex()
+            # the status and the named pair (with its degenerate note) are the first argmin's
+            assert v == Verdict(first.status, least, f"least at {first.detail}")
+            assert affirmative(v) == all(affirmative(w) for _, w in pairs)
+            assert refuted(v) == any(refuted(w) for _, w in pairs)
+            ties += len(pairs) > 1 and all(w.margin == least for _, w in pairs)
+        assert ties >= 100
 
 
 class TestC3Mean:
@@ -314,9 +370,7 @@ class TestN2:
     @staticmethod
     def _rows(raw):
         a = validate_coefficients(raw)
-        ((_, necessary),) = pairwise_necessary(a)
-        ((_, sufficient),) = pairwise_sufficient(a)
-        return necessary, sufficient
+        return pairwise_necessary(a), pairwise_sufficient(a)
 
     def test_examples(self):
         for raw in (np.eye(2), [[0, 1], [1, 0]]):
@@ -450,12 +504,19 @@ class TestFullReport:
         rng = np.random.default_rng(47)
         for _ in range(50):
             a = constant_ckl_matrix(CklParams(*(rng.random(3) * 2)))
-            margins = [v.margin for _, v in pairwise_necessary(a)]
+            margins = [v.margin for _, v in pairwise_necessary_by_pair(a)]
             assert max(margins) - min(margins) < 1e-14
+            assert pairwise_necessary(a).margin == min(margins)
 
 
-ROWS_BEFORE_PAIRS = ["cp", "ckl_positive", "ckl_indecomposable", "kye", "average_necessary"]
-ROWS_AFTER_PAIRS = [
+ROW_NAMES = [
+    "cp",
+    "ckl_positive",
+    "ckl_indecomposable",
+    "kye",
+    "average_necessary",
+    "pairwise_necessary",
+    "pairwise_sufficient",
     "c3_mean",
     "cyclic_necessary",
     "b_only_necessary",
@@ -477,30 +538,19 @@ def no_proofs(**named):
 
 class TestConditionTable:
     @pytest.mark.parametrize(
-        "a, pairs",
-        [
-            (validate_coefficients([[1.5, 0.5], [0.5, 1.5]]), ["1_2"]),
-            (CHOI, ["1_2", "1_3", "2_3"]),
-            (GENERAL_N3, ["1_2", "1_3", "2_3"]),
-            (GCHOI_N4, ["1_2", "1_3", "1_4", "2_3", "2_4", "3_4"]),
-        ],
-        ids=["n2", "constant-ckl", "general-n3", "n4"],
+        "a",
+        [validate_coefficients([[1.5, 0.5], [0.5, 1.5]]), CHOI, GENERAL_N3, GCHOI_N4]
+        + [validate_coefficients(np.random.default_rng(n).random((n, n))) for n in range(2, 17)],
+        ids=["n2", "constant-ckl", "general-n3", "n4"] + [f"random-n{n}" for n in range(2, 17)],
     )
-    def test_row_names_and_order(self, a, pairs):
+    def test_row_names_and_order(self, a):
         r = full_report(a)
-        assert [name for name, _ in r.rows] == (
-            ROWS_BEFORE_PAIRS
-            + [f"pairwise_necessary_{p}" for p in pairs]
-            + [f"pairwise_sufficient_{p}" for p in pairs]
-            + ROWS_AFTER_PAIRS
-        )
-        for (i, j), v in pairwise_necessary(a):
-            assert r.verdict(f"pairwise_necessary_{i}_{j}") == v
-        for (i, j), v in pairwise_sufficient(a):
-            assert r.verdict(f"pairwise_sufficient_{i}_{j}") == v
+        assert [name for name, _ in r.rows] == ROW_NAMES
+        assert r.verdict("pairwise_necessary") == pairwise_necessary(a)
+        assert r.verdict("pairwise_sufficient") == pairwise_sufficient(a)
         assert r.verdict("c3_mean") == c3_mean(a)
         with pytest.raises(KeyError):
-            r.verdict("pairwise_sufficient")
+            r.verdict("pairwise_necessary_1_2")
 
     @pytest.mark.parametrize(
         "a, proofs, summary",
@@ -515,7 +565,7 @@ class TestConditionTable:
             ),
             (
                 COUNTEREXAMPLE,
-                no_proofs(not_positive=["pairwise_necessary_1_2", "boundary_proposition"]),
+                no_proofs(not_positive=["pairwise_necessary", "boundary_proposition"]),
                 ("not_positive_proven",),
             ),
             (
@@ -564,8 +614,8 @@ class TestConditionTable:
         "proofs, message",
         [
             (
-                no_proofs(positive=["cp"], not_positive=["pairwise_necessary_1_2"]),
-                "positivity proven by ['cp'] but refuted by ['pairwise_necessary_1_2']",
+                no_proofs(positive=["cp"], not_positive=["pairwise_necessary"]),
+                "positivity proven by ['cp'] but refuted by ['pairwise_necessary']",
             ),
             (
                 no_proofs(indecomposable=["kye"], decomposable=["ckl_indecomposable"]),
