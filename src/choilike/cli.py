@@ -84,11 +84,12 @@ def read_matrix_file(path: str) -> tuple[CoefficientMatrix, np.ndarray | None]:
             raise ValueError("input nests too deeply") from None
     if not isinstance(data, dict) or "A" not in data:
         raise ValueError("input must be a JSON object with an 'A' field")
+    # sizes are checked before any entry is converted, so an oversized input is refused at once
+    if isinstance(data["A"], list) and len(data["A"]) > MAX_SIDE:
+        raise ValueError(f"matrix side {len(data['A'])} exceeds the supported maximum {MAX_SIDE}")
     a = validate_coefficients(data["A"])
     if "n" in data and data["n"] != a.n:
         raise ValueError(f"declared n = {data['n']!r} does not match matrix side {a.n}")
-    if a.n > MAX_SIDE:
-        raise ValueError(f"matrix side {a.n} exceeds the supported maximum {MAX_SIDE}")
     x = None
     if "X" in data:
         rows = data["X"]
@@ -96,9 +97,9 @@ def read_matrix_file(path: str) -> tuple[CoefficientMatrix, np.ndarray | None]:
             isinstance(row, list) and len(row) == len(rows) for row in rows
         ):
             raise ValueError("X must be a square matrix given as a list of rows")
-        x = require_hermitian([[_entry_to_complex(e) for e in row] for row in rows])
-        if x.shape[0] != a.n:
+        if len(rows) != a.n:
             raise ValueError("X must have the same dimension as A")
+        x = require_hermitian([[_entry_to_complex(e) for e in row] for row in rows])
     return a, x
 
 

@@ -31,6 +31,7 @@ from .maps import (
     averaged_params,
     classify_form,
     cp_check,
+    cyclic_cap,
     decomposition_check,
     geometric_means,
     matches_b_only,
@@ -229,11 +230,10 @@ def cyclic_necessary(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) ->
     b, c > 0 and every a_i >= 1.  A failure certifies non-positivity."""
     if A.n != 3 or not matches_cyclic_bc(A):
         return not_applicable("requires constant b and c slots (n = 3)")
-    b = float(A.b_cyclic[0])
-    c = float(A.c_cyclic[0])
+    a, (b, _, _), (c, _, _) = A.slots
     if b <= 0.0 or c <= 0.0:
         return not_applicable("requires b > 0 and c > 0")
-    if float(np.min(A.a_diag)) < 1.0:
+    if min(a) < 1.0:
         return not_applicable("requires every a_i >= 1")
     a_star = geometric_means(A).a
     return make_verdict(a_star + b + c - 2.0, band, f"a* = {a_star!r}")
@@ -245,7 +245,7 @@ def b_only_necessary(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) ->
     non-positivity."""
     if A.n != 3 or not matches_b_only(A):
         return not_applicable("requires zero c slots and positive b slots (n = 3)")
-    if float(np.min(A.a_diag)) < 1.0:
+    if min(A.slots[0]) < 1.0:
         return not_applicable("requires every a_i >= 1")
     g = geometric_means(A)
     a_star, b_star = g.a, g.b
@@ -274,11 +274,11 @@ def scaling_sufficient_search(
     """
     if A.n != 3:
         return not_applicable("defined for n = 3 only")
-    a0 = float(np.min(A.a_diag))
+    a0 = min(A.slots[0])
     g = geometric_means(A)
     b_star, c_star = g.b, g.c
 
-    cap = float(np.min(A.b_cyclic * np.roll(A.c_cyclic, -1)))  # min_i b_i c_{i+1}
+    cap = cyclic_cap(A)
     m, t_max = max(b_star, c_star), min(b_star, c_star)
     t = 0.0
     if t_max > 0.0:
@@ -322,18 +322,16 @@ def boundary_proposition(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND
     """
     if A.n != 3 or not matches_cyclic_bc(A):
         return not_applicable("requires constant b and c slots (n = 3)")
-    adiag = A.a_diag
-    b = float(A.b_cyclic[0])
-    c = float(A.c_cyclic[0])
+    adiag, (b, _, _), (c, _, _) = A.slots
     if c != 0.0:
         return not_applicable("requires zero c slots")
-    if float(np.min(adiag)) <= 0.0:
+    if min(adiag) <= 0.0:
         return not_applicable("requires strictly positive diagonal entries")
     a_star = geometric_means(A).a
     if abs(a_star + b - 2.0) >= BOUNDARY_ATOL:
         return not_applicable(f"not on the boundary: a* + b = {a_star + b!r}")
 
-    a_bar = float(np.mean(adiag))
+    a_bar = averaged_params(A).a
     d_formula = 6.0 * (a_star - a_bar) / a_star
     xi = boundary_witness_vector(*adiag)
     d_numeric = determinant(apply_map(A, outer_product(xi)))
@@ -341,7 +339,7 @@ def boundary_proposition(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND
         raise InternalInconsistencyError(
             f"boundary determinant identity violated: {d_formula!r} vs {d_numeric!r}"
         )
-    spread = float(np.max(adiag) - np.min(adiag))
+    spread = max(adiag) - min(adiag)
     detail = (
         f"D_formula = {d_formula!r}, D_numeric = {d_numeric!r}, diagonal spread = {spread!r}; "
         "positive only for equal diagonals (and then only when a >= 1)"
@@ -451,8 +449,8 @@ def full_report(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Cond
     kye_verdict = not_applicable("zero-b pattern not matched")
     kye_holds, kye_fails = (), ()
     if A.n == 3 and matches_kye_form(A):
-        c = A.c_cyclic
-        k = KyeParams(float(A.a_diag[0]), float(c[0]), float(c[1]), float(c[2]))
+        (a, _, _), _, c = A.slots
+        k = KyeParams(a, *c)
         kye_verdict = kye_check(k, band)
         # kye_check needs a < 2 strictly; its marginal a = 2 edge is the
         # completely positive (decomposable) boundary, where it proves nothing

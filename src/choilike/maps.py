@@ -17,7 +17,9 @@ For n = 3 the entries carry conventional names:
 
 so the b's sit on the cyclic superdiagonal (1,2), (2,3), (3,1) and the
 c's on the cyclic subdiagonal (1,3), (2,1), (3,2).  All n = 3 criteria
-read entries through these accessors, never through raw indices.
+read entries through ``CoefficientMatrix.slots``, never through raw
+indices; it reads the nine slots once, as Python floats, since numpy
+calls on arrays of three entries cost more than their arithmetic.
 
 The n = 3 patterns are decided by exact comparison, with no tolerance:
 each is the hypothesis of a theorem, and a slot of 1e-13 beside one of
@@ -26,6 +28,7 @@ each is the hypothesis of a theorem, and a slot of 1e-13 beside one of
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,17 +52,12 @@ class CoefficientMatrix:
         """Diagonal entries (a_1, ..., a_n)."""
         return np.diag(self.a).copy()
 
-    @property
-    def b_cyclic(self) -> np.ndarray:
-        """(b_1, b_2, b_3) from the cyclic superdiagonal; n = 3 only."""
+    @functools.cached_property
+    def slots(self) -> tuple[tuple[float, float, float], ...]:
+        """((a_1, a_2, a_3), (b_1, b_2, b_3), (c_1, c_2, c_3)) as floats, read once; n = 3 only."""
         self._require_n3()
-        return np.array([self.a[0, 1], self.a[1, 2], self.a[2, 0]])
-
-    @property
-    def c_cyclic(self) -> np.ndarray:
-        """(c_1, c_2, c_3) from the cyclic subdiagonal; n = 3 only."""
-        self._require_n3()
-        return np.array([self.a[0, 2], self.a[1, 0], self.a[2, 1]])
+        (a1, b1, c1), (c2, a2, b2), (b3, c3, a3) = self.a.tolist()
+        return (a1, a2, a3), (b1, b2, b3), (c1, c2, c3)
 
     def _require_n3(self) -> None:
         if self.n != 3:
@@ -280,22 +278,18 @@ def decomposition_check(A: CoefficientMatrix) -> tuple[bool, float]:
 
 def averaged_params(A: CoefficientMatrix) -> CklParams:
     """Arithmetic means (a-bar, b-bar, c-bar) of the named n = 3 entries."""
-    A._require_n3()
-    return CklParams(
-        a=float(np.mean(A.a_diag)),
-        b=float(np.mean(A.b_cyclic)),
-        c=float(np.mean(A.c_cyclic)),
-    )
+    return CklParams(*((x + y + z) / 3.0 for x, y, z in A.slots))
 
 
 def geometric_means(A: CoefficientMatrix) -> CklParams:
     """Geometric means (a*, b*, c*) of the named n = 3 entries."""
-    A._require_n3()
-    return CklParams(
-        a=float(np.prod(A.a_diag) ** (1.0 / 3.0)),
-        b=float(np.prod(A.b_cyclic) ** (1.0 / 3.0)),
-        c=float(np.prod(A.c_cyclic) ** (1.0 / 3.0)),
-    )
+    return CklParams(*((x * y * z) ** (1.0 / 3.0) for x, y, z in A.slots))
+
+
+def cyclic_cap(A: CoefficientMatrix) -> float:
+    """min_i b_i c_{i+1} over the named n = 3 entries, indices cyclic."""
+    _, (b1, b2, b3), (c1, c2, c3) = A.slots
+    return min(b1 * c2, b2 * c3, b3 * c1)
 
 
 def kye_matrix(params: KyeParams) -> CoefficientMatrix:
@@ -306,36 +300,28 @@ def kye_matrix(params: KyeParams) -> CoefficientMatrix:
     )
 
 
-def _constant(values: np.ndarray) -> bool:
-    return bool(np.all(values == values[0]))
+def _constant(values: tuple[float, ...]) -> bool:
+    return values[0] == values[1] == values[2]
 
 
 def matches_constant_ckl(A: CoefficientMatrix) -> bool:
     """True when the a_i, the b_i and the c_i are each exactly equal."""
-    if A.n != 3:
-        return False
-    return _constant(A.a_diag) and _constant(A.b_cyclic) and _constant(A.c_cyclic)
+    return A.n == 3 and all(_constant(s) for s in A.slots)
 
 
 def matches_kye_form(A: CoefficientMatrix) -> bool:
     """True when the a_i are exactly equal and every b slot is exactly zero."""
-    if A.n != 3:
-        return False
-    return _constant(A.a_diag) and not np.any(A.b_cyclic)
+    return A.n == 3 and _constant(A.slots[0]) and not any(A.slots[1])
 
 
 def matches_cyclic_bc(A: CoefficientMatrix) -> bool:
     """True when the b slots are exactly equal, and so are the c slots."""
-    if A.n != 3:
-        return False
-    return _constant(A.b_cyclic) and _constant(A.c_cyclic)
+    return A.n == 3 and _constant(A.slots[1]) and _constant(A.slots[2])
 
 
 def matches_b_only(A: CoefficientMatrix) -> bool:
     """True when every c slot is exactly zero and every b slot is positive."""
-    if A.n != 3:
-        return False
-    return not np.any(A.c_cyclic) and bool(np.all(A.b_cyclic > 0.0))
+    return A.n == 3 and not any(A.slots[2]) and min(A.slots[1]) > 0.0
 
 
 def classify_form(A: CoefficientMatrix) -> FormClass:
@@ -344,42 +330,18 @@ def classify_form(A: CoefficientMatrix) -> FormClass:
     """
     if A.n != 3:
         return FormClass(tag="general")
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = A.slots
     if matches_constant_ckl(A):
-        return FormClass(
-            tag="constant_ckl",
-            parameters={
-                "a": float(A.a_diag[0]),
-                "b": float(A.b_cyclic[0]),
-                "c": float(A.c_cyclic[0]),
-            },
-        )
+        return FormClass(tag="constant_ckl", parameters={"a": a1, "b": b1, "c": c1})
     if matches_kye_form(A):
-        c = A.c_cyclic
-        return FormClass(
-            tag="kye_form",
-            parameters={
-                "a": float(A.a_diag[0]),
-                "c1": float(c[0]),
-                "c2": float(c[1]),
-                "c3": float(c[2]),
-            },
-        )
+        return FormClass(tag="kye_form", parameters={"a": a1, "c1": c1, "c2": c2, "c3": c3})
     if matches_b_only(A):
-        a, b = A.a_diag, A.b_cyclic
         return FormClass(
             tag="b_only",
-            parameters={
-                "a1": float(a[0]), "a2": float(a[1]), "a3": float(a[2]),
-                "b1": float(b[0]), "b2": float(b[1]), "b3": float(b[2]),
-            },
+            parameters={"a1": a1, "a2": a2, "a3": a3, "b1": b1, "b2": b2, "b3": b3},
         )
     if matches_cyclic_bc(A):
-        a = A.a_diag
         return FormClass(
-            tag="cyclic_bc",
-            parameters={
-                "a1": float(a[0]), "a2": float(a[1]), "a3": float(a[2]),
-                "b": float(A.b_cyclic[0]), "c": float(A.c_cyclic[0]),
-            },
+            tag="cyclic_bc", parameters={"a1": a1, "a2": a2, "a3": a3, "b": b1, "c": c1}
         )
     return FormClass(tag="general")

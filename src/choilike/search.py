@@ -152,7 +152,7 @@ def _start_points(A: CoefficientMatrix) -> np.ndarray:
 def _project_unit_nonneg(mat: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Clamp negatives to zero and renormalize rows; dead rows keep the fallback."""
     clip = np.maximum(mat, 0.0)
-    norms = np.linalg.norm(clip, axis=1, keepdims=True)
+    norms = np.sqrt((clip * clip).sum(axis=1, keepdims=True))  # np.linalg.norm's own formula
     dead = norms[:, 0] <= 0.0
     out = np.divide(clip, np.where(norms > 0.0, norms, 1.0))
     if np.any(dead):
@@ -195,10 +195,11 @@ def find_positivity_violation(
     M(q) is a Z-matrix, so for an eigenvector v of lambda_min(M(q)),
     |v|^T M |v| <= v^T M v: the least gap over nonnegative unit p is
     lambda_min(M(q)), attained at p = |v|.  The descent therefore runs over
-    q alone, each step solving the stacked eigenproblems of the active
-    starts, and by the envelope theorem the gradient of lambda_min(M(q))
-    is the gradient of the gap in q at that p.  The starts are those of
-    _start_points; the projection clamps negatives and renormalizes.
+    q alone, each step solving the stacked eigenproblems of the starts
+    still moving, the only rows it carries, and by the envelope theorem
+    the gradient of lambda_min(M(q)) is the gradient of the gap in q at
+    that p.  The starts are those of _start_points; the projection clamps
+    negatives and renormalizes.
     Returns the best certificate, unit p, q >= 0, when the gap evaluated
     there is below -tolerance, otherwise None (which proves nothing).  A
     tolerance that is not finite or is below criteria.MIN_TOLERANCE raises
@@ -231,32 +232,45 @@ def find_positivity_violation(
     if decomposition_check(A)[0]:
         return None
     w = A.a + np.eye(A.n)
-    Q = _start_points(A)
-    G, P, grad = _eliminate_p(w, Q)
-    step = np.full(len(Q), 0.25)
-    active = np.ones(len(Q), dtype=bool)
+    q = _start_points(A)
+    g, p, grad = _eliminate_p(w, q)
+    step = np.full(len(q), 0.25)
+    start = np.arange(len(q))  # the rows of q, g, p, grad and step are the starts still moving
+    stopped = (math.inf, -1)  # (value, start) of the lowest stopped start, whose p, q are kept
+    p_best = q_best = None
 
     for _ in range(_MAX_ITERATIONS):
-        low = int(np.argmin(G))
-        if (not active[low] and G[low] < -tolerance) or not np.any(active):
-            break  # the lowest value is a converged certificate, or every start has stopped
-        run = np.flatnonzero(active)
-        newQ = _project_unit_nonneg(Q[run] - step[run, None] * grad[run], Q[run])
+        if not len(start):
+            break  # every start has stopped
+        if stopped[0] < -tolerance:
+            low = int(np.argmin(g))  # the first minimal row: the least start among ties
+            if stopped < (float(g[low]), int(start[low])):
+                break  # the lowest value is a converged certificate
+        newQ = _project_unit_nonneg(q - step[:, None] * grad, q)
         newG, newP, newGrad = _eliminate_p(w, newQ)
-        improved = newG < G[run]
-        won = run[improved]
-        gain = G[won] - newG[improved]
-        Q[won], P[won], grad[won] = newQ[improved], newP[improved], newGrad[improved]
-        G[won] = newG[improved]
-        step[run] *= np.where(improved, _GROW, _SHRINK)
-        active[won[gain < _STEP_TOLERANCE]] = False
-        reach = np.abs(_tangent_gradient(Q[run], grad[run])).max(axis=1)
-        over = step[run] * reach > 2.0  # such a step cannot move a unit q any further
-        step[run[over]] = 2.0 / reach[over]
-        active[run] &= step[run] * reach > _UNIT_ROUNDING
+        improved = newG < g
+        settled = improved & (g - newG < _STEP_TOLERANCE)
+        moved = improved[:, None]
+        q, p = np.where(moved, newQ, q), np.where(moved, newP, p)
+        grad = np.where(moved, newGrad, grad)
+        g = np.where(improved, newG, g)
+        step *= np.where(improved, _GROW, _SHRINK)
+        reach = np.abs(_tangent_gradient(q, grad)).max(axis=1)
+        over = step * reach > 2.0  # such a step cannot move a unit q any further
+        step[over] = 2.0 / reach[over]
+        going = (step * reach > _UNIT_ROUNDING) & ~settled
+        if not going.all():
+            done = np.flatnonzero(~going)
+            k = done[int(np.argmin(g[done]))]
+            if (float(g[k]), int(start[k])) < stopped:
+                stopped, p_best, q_best = (float(g[k]), int(start[k])), p[k], q[k]
+            q, p, grad, g = q[going], p[going], grad[going], g[going]
+            step, start = step[going], start[going]
 
-    best = int(np.argmin(G))  # first minimal index: lexicographic (value, start)
-    p_best, q_best = P[best], Q[best]
+    if len(start):  # lexicographic (value, start) over the stopped and the moving starts
+        low = int(np.argmin(g))
+        if (float(g[low]), int(start[low])) < stopped:
+            p_best, q_best = p[low], q[low]
     gap = positivity_gap(A, p_best, q_best)
     if gap >= -tolerance:
         return None

@@ -6,7 +6,10 @@ against the textbook objects: the block (Choi) matrix and its partial
 transpose, the shift average, the rescaled constant maps with their
 dominance certificate, the sum-of-squares split of the positivity gap,
 the per-pair bounds that the pairwise rows take the least of, and the
-paper's witness vectors.  Test files import this module as ``oracles``.
+paper's witness vectors.  It also keeps earlier forms of two hot paths,
+which the faster forms in the package must match bit for bit: the
+violation descent with masks over every start, and the n = 3 slot reads
+on numpy arrays.  Test files import this module as ``oracles``.
 
 Block conventions are those of ``choilike.linalg``: a matrix of side n^2
 is an n x n grid of n x n blocks, with row index i * n + k addressing
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from choilike import search
 from choilike.criteria import (
     DEFAULT_MARGIN_BAND,
     FAILS,
@@ -29,9 +33,17 @@ from choilike.criteria import (
     ckl_is_positive,
     make_verdict,
     not_applicable,
+    require_tolerance,
 )
-from choilike.linalg import require_hermitian
-from choilike.maps import CklParams, CoefficientMatrix, apply_map, validate_coefficients
+from choilike.linalg import hermitian_eigenvalues, outer_product, require_hermitian
+from choilike.maps import (
+    CklParams,
+    CoefficientMatrix,
+    FormClass,
+    apply_map,
+    decomposition_check,
+    validate_coefficients,
+)
 from choilike.search import _as_vector
 
 
@@ -295,3 +307,118 @@ def assemble_structured_state(alpha: np.ndarray, r: np.ndarray) -> np.ndarray:
             rho[i * n + i, j * n + j] = r[i, j]
             rho[j * n + j, i * n + i] = r[i, j]
     return rho
+
+
+def masked_violation_search(
+    A: CoefficientMatrix, tolerance: float = DEFAULT_MARGIN_BAND
+) -> search.ViolationCertificate | None:
+    """search.find_positivity_violation as a masked loop over full arrays of every start.
+
+    Each step gathers the active rows, and scatters the accepted ones
+    back; the package keeps only the moving rows instead.  Both must give
+    the same certificate bit for bit and solve the same rows in the same
+    order, so the helpers are looked up on ``search`` at each call.
+    """
+    require_tolerance(tolerance)
+    if decomposition_check(A)[0]:
+        return None
+    w = A.a + np.eye(A.n)
+    Q = search._start_points(A)
+    G, P, grad = search._eliminate_p(w, Q)
+    step = np.full(len(Q), 0.25)
+    active = np.ones(len(Q), dtype=bool)
+
+    for _ in range(search._MAX_ITERATIONS):
+        low = int(np.argmin(G))
+        if (not active[low] and G[low] < -tolerance) or not np.any(active):
+            break  # the lowest value is a converged certificate, or every start has stopped
+        run = np.flatnonzero(active)
+        newQ = search._project_unit_nonneg(Q[run] - step[run, None] * grad[run], Q[run])
+        newG, newP, newGrad = search._eliminate_p(w, newQ)
+        improved = newG < G[run]
+        won = run[improved]
+        gain = G[won] - newG[improved]
+        Q[won], P[won], grad[won] = newQ[improved], newP[improved], newGrad[improved]
+        G[won] = newG[improved]
+        step[run] *= np.where(improved, search._GROW, search._SHRINK)
+        active[won[gain < search._STEP_TOLERANCE]] = False
+        reach = np.abs(search._tangent_gradient(Q[run], grad[run])).max(axis=1)
+        over = step[run] * reach > 2.0  # such a step cannot move a unit q any further
+        step[run[over]] = 2.0 / reach[over]
+        active[run] &= step[run] * reach > search._UNIT_ROUNDING
+
+    best = int(np.argmin(G))  # first minimal index: lexicographic (value, start)
+    p_best, q_best = P[best], Q[best]
+    gap = search.positivity_gap(A, p_best, q_best)
+    if gap >= -tolerance:
+        return None
+    residual = float(hermitian_eigenvalues(apply_map(A, outer_product(q_best)))[0])
+    return search.ViolationCertificate(p=p_best, q=q_best, gap=gap, residual_check=residual)
+
+
+def _numpy_slots(A: CoefficientMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a_1, a_2, a_3), (b_1, b_2, b_3) and (c_1, c_2, c_3) as numpy arrays; n = 3 only."""
+    A._require_n3()
+    a = A.a
+    b = np.array([a[0, 1], a[1, 2], a[2, 0]])
+    c = np.array([a[0, 2], a[1, 0], a[2, 1]])
+    return np.diag(a).copy(), b, c
+
+
+def numpy_averaged_params(A: CoefficientMatrix) -> CklParams:
+    """maps.averaged_params, by numpy reductions over the slot arrays."""
+    a, b, c = _numpy_slots(A)
+    return CklParams(a=float(np.mean(a)), b=float(np.mean(b)), c=float(np.mean(c)))
+
+
+def numpy_geometric_means(A: CoefficientMatrix) -> CklParams:
+    """maps.geometric_means, by numpy reductions over the slot arrays."""
+    a, b, c = _numpy_slots(A)
+    return CklParams(
+        a=float(np.prod(a) ** (1.0 / 3.0)),
+        b=float(np.prod(b) ** (1.0 / 3.0)),
+        c=float(np.prod(c) ** (1.0 / 3.0)),
+    )
+
+
+def numpy_cyclic_cap(A: CoefficientMatrix) -> float:
+    """maps.cyclic_cap, min_i b_i c_{i+1}, by numpy over the slot arrays."""
+    _, b, c = _numpy_slots(A)
+    return float(np.min(b * np.roll(c, -1)))
+
+
+def numpy_classify_form(A: CoefficientMatrix) -> FormClass:
+    """maps.classify_form, with each pattern tested by numpy over the slot arrays."""
+    if A.n != 3:
+        return FormClass(tag="general")
+    a, b, c = _numpy_slots(A)
+
+    def constant(values):
+        return bool(np.all(values == values[0]))
+
+    if constant(a) and constant(b) and constant(c):
+        return FormClass(
+            tag="constant_ckl", parameters={"a": float(a[0]), "b": float(b[0]), "c": float(c[0])}
+        )
+    if constant(a) and not np.any(b):
+        return FormClass(
+            tag="kye_form",
+            parameters={"a": float(a[0]), "c1": float(c[0]), "c2": float(c[1]), "c3": float(c[2])},
+        )
+    if not np.any(c) and bool(np.all(b > 0.0)):
+        return FormClass(
+            tag="b_only",
+            parameters={
+                "a1": float(a[0]), "a2": float(a[1]), "a3": float(a[2]),
+                "b1": float(b[0]), "b2": float(b[1]), "b3": float(b[2]),
+            },
+        )
+    if constant(b) and constant(c):
+        return FormClass(
+            tag="cyclic_bc",
+            parameters={
+                "a1": float(a[0]), "a2": float(a[1]), "a3": float(a[2]),
+                "b": float(b[0]), "c": float(c[0]),
+            },
+        )
+    return FormClass(tag="general")

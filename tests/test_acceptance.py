@@ -251,7 +251,8 @@ def test_acceptance_7_identity_suite():
             g = geometric_means(a)
             assert abs(g.b - params.b) < 1e-12 * max(1.0, params.b)
             assert abs(g.c - params.c) < 1e-12 * max(1.0, params.c)
-            prods = a.b_cyclic * np.roll(a.c_cyclic, -1)
+            _, b, c = a.slots
+            prods = np.multiply(b, np.roll(c, -1))
             assert np.max(np.abs(prods - params.b * params.c)) < 1e-12 * max(
                 1.0, params.b * params.c
             )

@@ -569,6 +569,23 @@ class TestErrors:
         assert main(["analyze", "-i", path]) == 1
         assert capsys.readouterr().err.startswith("error: matrix side 17 exceeds")
 
+    def test_sizes_refused_before_any_entry_converts(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        for name in ("validate_coefficients", "_entry_to_complex"):
+
+            def counting(*args, _name=name, _original=getattr(cli, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(cli, name, counting)
+        big = np.ones((300, 300)).tolist()
+        assert main(["analyze", "-i", write(tmp_path, {"A": big})]) == 1
+        assert capsys.readouterr().err == "error: matrix side 300 exceeds the supported maximum 16\n"
+        assert calls == []
+        assert main(["analyze", "-i", write(tmp_path, {"A": CHOI["A"], "X": big})]) == 1
+        assert capsys.readouterr().err == "error: X must have the same dimension as A\n"
+        assert calls == ["validate_coefficients"]
+
     @pytest.mark.parametrize("command", ["analyze", "search", "probe", "reproduce"])
     @pytest.mark.parametrize(
         "flags,message",

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from choilike import criteria
 from choilike.criteria import (
     FAILS,
     HOLDS,
@@ -33,12 +34,21 @@ from choilike.criteria import (
 from choilike.maps import (
     CklParams,
     KyeParams,
+    averaged_params,
+    classify_form,
+    cyclic_cap,
+    geometric_means,
     kye_matrix,
     validate_coefficients,
 )
+import corpus
 from oracles import (
     ScalingVector,
     constant_ckl_matrix,
+    numpy_averaged_params,
+    numpy_classify_form,
+    numpy_cyclic_cap,
+    numpy_geometric_means,
     pairwise_necessary_by_pair,
     pairwise_sufficient_by_pair,
     scaled_ckl_matrix,
@@ -362,6 +372,71 @@ class TestScalingOptimum:
             # on the axes bc = 0 the caps are vacuous, as in _joint_slack
             brute = np.where(bb * cc == 0.0, margin, np.minimum(margin, cap - bb * cc))
             assert v.margin >= float(brute.max()) - 1e-12
+
+
+def _n3_inputs():
+    """The 13^3 constant cyclic grid, the corpus's n3 recipe, CI maps with 1e-13 beside
+    1e13, and one map of each other pattern, two of them on the a* + b = 2 boundary."""
+    maps = [raw for _, raw in corpus._ckl_grid()]
+    maps += [raw for name, raw in corpus._recipes() if name.startswith("n3_")]
+    maps += [
+        [[0, 1e-13, 1e13], [1e13, 0, 0], [0, 1e13, 0]],
+        [[1, 0, 1e13], [1e13, 1, 1e-12], [1e-12, 1e13, 1]],
+        [[1, 1e-13, 1e13], [1e13, 1, 0], [0, 1e13, 1]],
+        [[0, 1e-13, 1e13], [1e13, 0, 1e-13], [1e-13, 1e13, 0]],
+        [[1.5, 0, 0.5], [1, 1.5, 0], [0, 0.7, 1.5]],
+        [[1.2, 0.8, 0], [0, 1.1, 1.3], [0.9, 0, 1.4]],
+        [[0.5, 1, 0.3], [0.3, 1, 1], [1, 0.3, 2]],
+        COUNTEREXAMPLE.a,
+    ]
+    b = 2.0 - (0.3 * 1.7 * 2.5) ** (1.0 / 3.0)
+    maps.append([[0.3, b, 0], [0, 1.7, b], [b, 0, 2.5]])
+    return [validate_coefficients(raw) for raw in maps]
+
+
+def _hex_form(form):
+    return form.tag, {name: value.hex() for name, value in form.parameters.items()}
+
+
+def _hex_params(params):
+    return params.a.hex(), params.b.hex(), params.c.hex()
+
+
+def _hex_rows(report):
+    return [
+        (name, v.status, None if v.margin is None else v.margin.hex(), v.detail)
+        for name, v in report.rows
+    ]
+
+
+class TestFloatSlots:
+    """The n = 3 criteria on Python floats give the bits of the numpy slot reads."""
+
+    def test_slot_reads_match_numpy(self):
+        forms = set()
+        for a in _n3_inputs():
+            form = classify_form(a)
+            assert _hex_form(form) == _hex_form(numpy_classify_form(a)), a.a.tolist()
+            assert cyclic_cap(a).hex() == numpy_cyclic_cap(a).hex(), a.a.tolist()
+            assert _hex_params(averaged_params(a)) == _hex_params(numpy_averaged_params(a))
+            assert _hex_params(geometric_means(a)) == _hex_params(numpy_geometric_means(a))
+            forms.add(form.tag)
+        assert forms == {"constant_ckl", "kye_form", "b_only", "cyclic_bc", "general"}
+
+    def test_every_row_matches_numpy(self, monkeypatch):
+        inputs = _n3_inputs()
+        fast = [full_report(a) for a in inputs]
+        monkeypatch.setattr(criteria, "averaged_params", numpy_averaged_params)
+        monkeypatch.setattr(criteria, "geometric_means", numpy_geometric_means)
+        monkeypatch.setattr(criteria, "cyclic_cap", numpy_cyclic_cap)
+        monkeypatch.setattr(criteria, "classify_form", numpy_classify_form)
+        for a, report in zip(inputs, fast):
+            expected = full_report(a)
+            assert _hex_form(report.form) == _hex_form(expected.form), a.a.tolist()
+            assert _hex_rows(report) == _hex_rows(expected), a.a.tolist()
+            assert report.summary == expected.summary
+        boundary = [r for r in fast if r.verdict("boundary_proposition").status != NOT_APPLICABLE]
+        assert len(boundary) >= 2  # the determinant check ran, on floats and on numpy reads
 
 
 class TestN2:

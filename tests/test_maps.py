@@ -93,8 +93,10 @@ class TestValidation:
     def test_named_entry_convention(self):
         a = validate_coefficients(COUNTEREXAMPLE)
         assert np.array_equal(a.a_diag, [0.5, 1.0, 2.0])
-        assert np.array_equal(a.b_cyclic, [1.0, 1.0, 1.0])
-        assert np.array_equal(a.c_cyclic, [0.0, 0.0, 0.0])
+        assert a.slots == ((0.5, 1.0, 2.0), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+        assert all(type(v) is float for s in a.slots for v in s)
+        with pytest.raises(ValueError, match="n = 3 only"):
+            validate_coefficients(np.eye(4)).slots
 
 
 class TestApplyMap:
@@ -518,9 +520,10 @@ class TestGeometricMeans:
 class TestScaledMatrix:
     def test_ratio_entries(self):
         a = scaled_ckl_matrix(CklParams(1, 1, 0), ScalingVector((1, 2, 4)))
-        assert np.allclose(a.b_cyclic, [2.0, 2.0, 0.25], atol=1e-15)
-        assert np.array_equal(a.c_cyclic, [0.0, 0.0, 0.0])
-        assert np.array_equal(a.a_diag, [1.0, 1.0, 1.0])
+        diag, b, c = a.slots
+        assert np.allclose(b, [2.0, 2.0, 0.25], atol=1e-15)
+        assert c == (0.0, 0.0, 0.0)
+        assert diag == (1.0, 1.0, 1.0)
 
     def test_unit_scaling_is_identity(self):
         p = CklParams(0.8, 1.1, 0.4)
@@ -541,7 +544,8 @@ class TestScaledMatrix:
             p = CklParams(*(rng.random(3) * 2))
             v = ScalingVector(tuple(0.2 + rng.random(3) * 5))
             a = scaled_ckl_matrix(p, v)
-            prods = a.b_cyclic * np.roll(a.c_cyclic, -1)  # b_i * c_{i+1}
+            _, b, c = a.slots
+            prods = np.multiply(b, np.roll(c, -1))  # b_i * c_{i+1}
             assert np.max(np.abs(prods - p.b * p.c)) < 1e-12 * max(1.0, p.b * p.c)
 
     def test_conjugation_identity(self):

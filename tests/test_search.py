@@ -43,6 +43,7 @@ from choilike.search import (
     psd_feasible_cross_terms,
     verify_counterexample,
 )
+import corpus
 from oracles import (
     assemble_structured_state,
     block_positivity_value,
@@ -50,6 +51,7 @@ from oracles import (
     constant_ckl_matrix,
     cyclic_form_witness,
     gap_decomposition,
+    masked_violation_search,
     partial_transpose,
     zero_pattern_witnesses,
 )
@@ -496,6 +498,68 @@ class TestEarlyStop:
             assert (e is None) == (f is None), a.a.tolist()
             if f is not None:
                 assert f <= e.gap, a.a.tolist()
+
+
+def _descent_inputs():
+    """Maps that reach the violation descent, by name.
+
+    Seeded sparse maps at n = 2..16, each with a zero row, beside denser
+    ones whose trial points sometimes clamp to zero, so that the
+    projection's dead-row fallback runs; the constant cyclic grid points
+    that T does not certify, (0.75, 1.25, 0.25) among them, where 183 of
+    207 steps move one or two starts; the generalized Choi maps of the
+    corpus, n = 3..8; and the CI map ``long-descent``.
+    """
+    rng = np.random.default_rng(1)
+    for n in range(2, 17):
+        raw = 1.5 * rng.random((n, n)) * (rng.random((n, n)) > 0.3)
+        raw[rng.integers(n)] = 0.0
+        yield f"zero-row{n}", raw
+        raw = 2.0 * rng.random((n, n)) * (rng.random((n, n)) > 0.1)
+        np.fill_diagonal(raw, rng.uniform(0.3, n - 1, n))
+        yield f"dense{n}", raw
+    for name, raw in corpus._ckl_grid():
+        if not decomposition_check(validate_coefficients(raw))[0]:
+            yield name, raw
+    yield from corpus._gchoi()
+    yield "long-descent", np.array([[0, 1, 1e-13], [0, 0, 1e-13], [1, 0, 0]])
+
+
+class TestCompactDescent:
+    """The descent on the moving rows alone is the masked loop over every start, bit for bit."""
+
+    def test_matches_the_masked_loop(self, monkeypatch):
+        rows = _count_rows(monkeypatch)
+        dead = []
+        project = search._project_unit_nonneg
+
+        def counting(mat, fallback):
+            dead.append(int(np.sum(np.maximum(mat, 0.0).max(axis=1) <= 0.0)))
+            return project(mat, fallback)
+
+        monkeypatch.setattr(search, "_project_unit_nonneg", counting)
+        names, found = set(), 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, raw in _descent_inputs():
+                a = validate_coefficients(raw)
+                rows.clear()
+                cert = find_positivity_violation(a)
+                compact_rows = list(rows)
+                rows.clear()
+                expected = masked_violation_search(a)
+                assert compact_rows == rows, name
+                assert (cert is None) == (expected is None), name
+                if cert is not None:
+                    found += 1
+                    assert cert.p.tobytes() == expected.p.tobytes(), name
+                    assert cert.q.tobytes() == expected.q.tobytes(), name
+                    assert cert.gap.hex() == expected.gap.hex(), name
+                    assert cert.residual_check.hex() == expected.residual_check.hex(), name
+                names.add(name)
+        assert {"ckl(0.75,1.25,0.25)", "long-descent", "zero-row16", "gchoi8(d=6)"} <= names
+        assert sum(dead) > 0  # the fallback ran
+        assert 0 < found < len(names)
 
 
 def _gap_matrix(w, q):
