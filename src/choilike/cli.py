@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__
 from .criteria import (
     DEFAULT_MARGIN_BAND,
-    HOLDS,
     ConditionReport,
     InternalInconsistencyError,
     affirmative,
@@ -207,14 +206,12 @@ def run_analysis(A: CoefficientMatrix, tolerance: float, x: np.ndarray | None = 
     """Full criteria report plus certificate searches.
 
     A certificate joins a copy of the report's proofs, and the flags come
-    from the same ``summarize`` as the report's own.
+    from the same ``summarize`` as the report's own.  The report and both
+    searches share lambda_min(T) and the exact decomposition check, cached on A.
     """
     report = full_report(A, band=tolerance)
     proofs = {prop: list(names) for prop, names in report.proofs.items()}
-    # an exactly verified decomposition leaves no violation to find
-    violation = None
-    if report.verdict("structured_decomposition").status != HOLDS:
-        violation = find_positivity_violation(A, tolerance)
+    violation = find_positivity_violation(A, tolerance)
     witness = None
     if violation is not None:
         proofs["not_positive"].append("violation_certificate")

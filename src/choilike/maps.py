@@ -59,6 +59,31 @@ class CoefficientMatrix:
         (a1, b1, c1), (c2, a2, b2), (b3, c3, a3) = self.a.tolist()
         return (a1, a2, a3), (b1, b2, b3), (c1, c2, c3)
 
+    @functools.cached_property
+    def structured_floor(self) -> float:
+        """lambda_min(T), T = structured_matrix(a), computed once; it decides the structured family.
+
+        T_ii = a_ii and T_ij = -mu_ij with mu_ij = max(0, 1 - sqrt(a_ij a_ji)).
+        With maximal cross terms the pairing of a structured PPT state is
+        Tr(rho C) = sum_{i,k} a_ki alpha_ik - 2 sum_{i<j} min(sqrt(alpha_ii
+        alpha_jj), sqrt(alpha_ij alpha_ji)).  By AM-GM each pair adds at least
+        -2 mu_ij x_i x_j, x_i = sqrt(alpha_ii), so Tr(rho C) >= x^T T x >=
+        lambda_min(T) sum_i alpha_ii: with lambda_min(T) >= 0 no structured
+        state is a witness.  The bound is attained by the profile of
+        search._witness_profile at lam = 0 (a zero a_ij is approached as a
+        limit), whose state is positive when every pair in the support of
+        its x has mu_ij > 0.  Reading it runs no exact check.
+        """
+        return float(np.linalg.eigvalsh(structured_matrix(self.a))[0])
+
+    @functools.cached_property
+    def decomposition_verified(self) -> bool:
+        """The verdict of decomposition_check, computed once."""
+        if self.structured_floor < -structured_rounding(self):
+            return False
+        m = _box_certificate(self, structured_matrix(self.a))
+        return m is not None and _rational_psd(m)
+
     def _require_n3(self) -> None:
         if self.n != 3:
             raise ValueError(f"named cyclic entries are defined for n = 3 only, got n = {self.n}")
@@ -267,13 +292,9 @@ def decomposition_check(A: CoefficientMatrix) -> tuple[bool, float]:
     and hence positive.  A clearly negative lambda_min(T) returns False
     at once; otherwise T is moved into the box by _box_certificate and its
     positivity is decided exactly by _rational_psd.  False proves nothing.
+    Both values are cached on A, so each is computed once per matrix.
     """
-    t = structured_matrix(A.a)
-    floor = float(np.linalg.eigvalsh(t)[0])
-    if floor < -structured_rounding(A):
-        return False, floor
-    m = _box_certificate(A, t)
-    return m is not None and _rational_psd(m), floor
+    return A.decomposition_verified, A.structured_floor
 
 
 def averaged_params(A: CoefficientMatrix) -> CklParams:

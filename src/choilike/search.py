@@ -41,13 +41,7 @@ from .linalg import (
     outer_product,
     require_hermitian,
 )
-from .maps import (
-    CoefficientMatrix,
-    apply_map,
-    decomposition_check,
-    structured_matrix,
-    structured_rounding,
-)
+from .maps import CoefficientMatrix, apply_map, structured_matrix, structured_rounding
 
 _GROW = 1.25
 _SHRINK = 0.5
@@ -178,8 +172,7 @@ def _eliminate_p(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     M(q) = diag(w q^2) - q q^T with w = A + I; see find_positivity_violation.
     """
     m = -Q[:, :, None] * Q[:, None, :]
-    diag = np.arange(Q.shape[1])
-    m[:, diag, diag] += (Q ** 2) @ w.T
+    m.reshape(len(Q), -1)[:, :: Q.shape[1] + 1] += (Q ** 2) @ w.T  # the diagonals, as a view
     values, vectors = np.linalg.eigh(m)
     P = np.abs(vectors[:, :, 0])
     grad = 2.0 * Q * ((P ** 2) @ w) - 2.0 * (P * Q).sum(axis=1, keepdims=True) * P
@@ -205,11 +198,11 @@ def find_positivity_violation(
     tolerance that is not finite or is below criteria.MIN_TOLERANCE raises
     ValueError.
 
-    Early exit.  The search first returns None when decomposition_check
-    verifies a decomposition of the map exactly.  A decomposable map is
-    positive, so the gap is nonnegative at every (p, q) and the full
-    descent would end with a gap that is nonnegative up to its rounding,
-    above -tolerance, and return None too.  Only this exactly
+    Early exit.  The search first returns None when maps.decomposition_check
+    verifies a decomposition of the map exactly, a verdict cached on A.  A
+    decomposable map is positive, so the gap is nonnegative at every (p, q)
+    and the full descent would end with a gap that is nonnegative up to its
+    rounding, above -tolerance, and return None too.  Only this exactly
     checked certificate ends the search: after a proof by formula alone
     the descent still runs, as the cross-check that exposes a wrong
     theorem.
@@ -229,7 +222,7 @@ def find_positivity_violation(
     _MAX_ITERATIONS.
     """
     require_tolerance(tolerance)
-    if decomposition_check(A)[0]:
+    if A.decomposition_verified:
         return None
     w = A.a + np.eye(A.n)
     q = _start_points(A)
@@ -354,22 +347,6 @@ def _witness_check(
     return pairing, float(rho_min), float(min(np.diag(alpha).min(), blocks.min()))
 
 
-def _structured_floor(A: CoefficientMatrix) -> float:
-    """Smallest eigenvalue of T, the n x n Z-matrix that decides the structured family.
-
-    T_ii = a_ii and T_ij = -mu_ij with mu_ij = max(0, 1 - sqrt(a_ij a_ji)).
-    With maximal cross terms the pairing is Tr(rho C) = sum_{i,k} a_ki
-    alpha_ik - 2 sum_{i<j} min(sqrt(alpha_ii alpha_jj), sqrt(alpha_ij alpha_ji)).
-    By AM-GM each pair adds at least -2 mu_ij x_i x_j, x_i = sqrt(alpha_ii),
-    so Tr(rho C) >= x^T T x >= lambda_min(T) sum_i alpha_ii: with
-    lambda_min(T) >= 0 no structured state is a witness.  The bound is
-    attained by the profile of _witness_profile at lam = 0 (a zero a_ij
-    is approached as a limit), whose state is positive when every pair in
-    the support of its x has mu_ij > 0.
-    """
-    return float(np.linalg.eigvalsh(structured_matrix(A.a))[0])
-
-
 def _structured_root(a: np.ndarray, floor: float) -> float:
     """The end hi of a bracket [lo, hi] of adjacent floats in [floor, 0] with lambda_min(T_hi) < 0.
 
@@ -385,7 +362,8 @@ def _structured_root(a: np.ndarray, floor: float) -> float:
     (a_ij - lam)(a_ji - lam) negative under its square root.  Each later
     trial is the regula falsi point of the two ends, kept one float
     inside the bracket; the value at an end kept twice in a row is
-    halved (the Illinois rule), so both ends close in on the root.
+    halved (the Illinois rule), so both ends close in on the root.  While
+    lambda_min(T_lo) = 0 that point is lo itself, so the midpoint is tried.
     """
     lo, hi = floor, 0.0
     f_lo, f_hi = None, floor  # lambda_min(T_0) = floor
@@ -402,7 +380,7 @@ def _structured_root(a: np.ndarray, floor: float) -> float:
                 f_hi *= 0.5
             lo, f_lo, kept = mid, f, -1
         mid = 0.5 * (lo + hi)
-        if f_lo is not None and lo < mid < hi:
+        if f_lo and lo < mid < hi:  # neither None nor 0.0
             guess = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
             mid = min(max(guess, math.nextafter(lo, hi)), math.nextafter(hi, lo))
     return hi
@@ -436,18 +414,19 @@ def indecomposability_probe(
     """The structured PPT state of least normalized pairing, in closed form.
 
     Tr(rho C) - lam Tr(rho) is the pairing of the entries a_ij - lam, so by
-    _structured_floor no structured state has a normalized value below the
-    root lam* of lambda_min(T_lam) < 0, and the profile of
+    CoefficientMatrix.structured_floor no structured state has a normalized
+    value below the root lam* of lambda_min(T_lam) < 0, and the profile of
     _witness_profile at the bracket end of _structured_root reaches it with
     an (i,i) block x x^T, positive with no shrink, unless an index must be
     dropped.  The root is then found again on the remaining indices K: a
     state on K (x) K is a witness for A too, since C restricted to it is
     the block matrix of A[K, K].  The probe returns None once
     lambda_min(T_0[K]) exceeds -tolerance by more than its rounding; with
-    K all indices this is the entry check, and the family then holds no
-    witness.  On the constant cyclic maps (a, b, c), lambda_min(T_0) =
-    a - 2 max(0, 1 - sqrt(bc)), whose sign changes exactly on the
-    Cho-Kye-Lee decomposability boundary 4bc = (2 - a)^2, a < 2.
+    K all indices this is the entry check, on the floor cached on A, and
+    the family then holds no witness.  On the constant cyclic maps
+    (a, b, c), lambda_min(T_0) = a - 2 max(0, 1 - sqrt(bc)), whose sign
+    changes exactly on the Cho-Kye-Lee decomposability boundary
+    4bc = (2 - a)^2, a < 2.
 
     The cross terms are the maximal ones, and _witness_check verifies the
     state on its n x n and 2 x 2 blocks, which carry the eigenvalues of
@@ -462,7 +441,7 @@ def indecomposability_probe(
     keep = np.arange(n)
     sub = A
     while True:
-        floor = _structured_floor(sub)
+        floor = sub.structured_floor
         if floor > -tolerance + structured_rounding(A):
             return None
         lam = _structured_root(sub.a, floor)

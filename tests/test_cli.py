@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choilike import cli, criteria, search
+from choilike import cli, criteria, maps, search
 from choilike.cli import main, read_matrix_file
 from choilike.criteria import DEFAULT_MARGIN_BAND, HOLDS, Verdict
-from choilike.maps import validate_coefficients
+from choilike.maps import CoefficientMatrix, structured_matrix, validate_coefficients
 from choilike.search import positivity_gap
 
 CHOI = {"n": 3, "A": [[1, 0, 1], [1, 1, 0], [0, 1, 1]]}
@@ -225,6 +225,19 @@ class TestTinyBesideHugeSlots:
         code, doc = run_json(capsys, command, "-i", path)
         assert code == 0 and doc["summary"] == ["not_positive_proven"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", [1e40, 1e50])
+    @pytest.mark.parametrize("command", ["analyze", "probe"])
+    def test_root_with_no_negative_value(self, tmp_path, capsys, command, big):
+        # lambda_min(T_lam) is exactly 0 at every lam < 0 the probe tries: its regula
+        # falsi point stayed at lo while f_hi was halved to -0.0, then divided by zero
+        path = write(tmp_path, {"A": [[1, 0, 1e8], [big, 1, 1], [1, 0, 1]]})
+        code = main([command, "-i", path, "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 0 and "Traceback" not in err
+        doc = json.loads(out)
+        assert doc["summary"] == ["inconclusive"] and "ppt_witness" not in doc
+
 
 # slot values of the constant patterns below: zero, tiny, order one and huge
 NEAR_PATTERN_SLOTS = np.array([0.0, 1e-13, 1e-12, 0.25, 0.5, 1.0, 2.0, 1e12, 1e13])
@@ -262,9 +275,15 @@ class TestNearPatterns:
 STRUCTURED = {"n": 3, "A": [[0.46, 1.17, 1.41], [0.57, 1.72, 0.14], [1.49, 0.32, 1.13]]}
 
 
+# the generalized Choi map n = 8: a_ii = 6.375, a_{i,i-1} = 1
+GCHOI8 = {"A": [[6.375 if i == j else 1.0 if j == (i - 1) % 8 else 0.0 for j in range(8)]
+                for i in range(8)]}
+
+
 class TestStructuredDecomposition:
     def test_new_proof_pinned(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "find_positivity_violation", None)  # a call would raise
+        project = search._project_unit_nonneg
+        monkeypatch.setattr(search, "_project_unit_nonneg", None)  # a descent step would raise
         path = write(tmp_path, STRUCTURED)
         code, doc = run_json(capsys, "analyze", "-i", path)
         assert code == 0
@@ -274,24 +293,34 @@ class TestStructuredDecomposition:
         assert row["margin"] == pytest.approx(0.3910829493693102, abs=1e-12)
         assert "violation_certificate" not in doc and "ppt_witness" not in doc
         # without the exact check no criterion settles this map
-        monkeypatch.setattr(criteria, "decomposition_check", lambda _: (False, 0.0))
-        monkeypatch.setattr(search, "decomposition_check", lambda _: (False, 0.0))
-        monkeypatch.setattr(cli, "find_positivity_violation", search.find_positivity_violation)
+        monkeypatch.setattr(CoefficientMatrix, "decomposition_verified", property(lambda _: False))
+        monkeypatch.setattr(search, "_project_unit_nonneg", project)
         code, doc = run_json(capsys, "analyze", "-i", path)
         assert code == 0 and doc["summary"] == ["inconclusive"]
 
-    def test_analysis_checks_once(self, tmp_path, capsys, monkeypatch):
-        calls = []
-        check = criteria.decomposition_check
+    @pytest.mark.parametrize(
+        "payload",
+        [STRUCTURED, CHOI, constant_cyclic(0.75, 1.25, 0.25), GCHOI8],
+        ids=["structured", "choi", "ckl-0.75-1.25-0.25", "gchoi-8"],
+    )
+    def test_analysis_checks_once(self, tmp_path, capsys, monkeypatch, payload):
+        # the report and both searches share one lambda_min(T(A)) and at most one exact check
+        t = structured_matrix(validate_coefficients(payload["A"]).a)
+        floors, checks = [], []
+        eigvalsh, box = np.linalg.eigvalsh, maps._box_certificate
 
-        def counting(a):
-            calls.append(1)
-            return check(a)
+        def counting_eigvalsh(m, *args, **kwargs):
+            floors.append(np.array_equal(m, t))
+            return eigvalsh(m, *args, **kwargs)
 
-        monkeypatch.setattr(criteria, "decomposition_check", counting)
-        monkeypatch.setattr(search, "decomposition_check", counting)
-        code, doc = run_json(capsys, "analyze", "-i", write(tmp_path, STRUCTURED))
-        assert code == 0 and len(calls) == 1
+        def counting_box(A, m):
+            checks.append(1)
+            return box(A, m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(maps, "_box_certificate", counting_box)
+        code, _ = run_json(capsys, "analyze", "-i", write(tmp_path, payload))
+        assert code == 0 and sum(floors) == 1 and len(checks) <= 1
 
     def test_failed_check_refutes_nothing(self, tmp_path, capsys):
         code, doc = run_json(capsys, "analyze", "-i", write(tmp_path, CHOI))

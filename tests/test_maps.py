@@ -311,7 +311,7 @@ class TestDecompositionCheck:
         mutated = np.where(off, m * (1 + 2.0**-40), m)
         assert not _rational_psd(mutated)
         monkeypatch.setattr(maps, "structured_matrix", lambda _: mutated)
-        assert not decomposition_check(a)[0]
+        assert not decomposition_check(validate_coefficients(raw))[0]  # a keeps its cached verdict
 
     def test_box_steps_repair_rounded_entries(self):
         # 1 - fl(1 - fl(sqrt(fl(0.01 * 0.01)))) exceeds the exact sqrt, so 1 + T_12

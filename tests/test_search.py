@@ -18,6 +18,7 @@ from choilike.linalg import (
 )
 from choilike.maps import (
     CklParams,
+    CoefficientMatrix,
     KyeParams,
     apply_map,
     decomposition_check,
@@ -33,7 +34,6 @@ from choilike.search import (
     _STEP_TOLERANCE,
     PptWitnessCertificate,
     StructuredPptState,
-    _structured_floor,
     _structured_root,
     _witness_check,
     find_positivity_violation,
@@ -387,7 +387,8 @@ class TestCertifiedExit:
             a = validate_coefficients(raw)
             if decomposition_check(a)[0]:
                 maps.append(a)
-        monkeypatch.setattr(search, "decomposition_check", lambda _: (False, 0.0))
+        # a property outranks the verdict each map has cached
+        monkeypatch.setattr(CoefficientMatrix, "decomposition_verified", property(lambda _: False))
         for a in maps:
             assert find_positivity_violation(a) is None, a.a.tolist()
 
@@ -819,8 +820,8 @@ class TestStructuredValue:
         assert is_psd(partial_transpose(rho, 3))[0]
 
     def test_matches_assembled_trace_on_random_profiles(self):
-        # the closed form quoted by _structured_floor: the diagonal profile
-        # pays sum_{i,k} a_ki alpha_ik and each pair adds
+        # the closed form quoted by CoefficientMatrix.structured_floor: the diagonal
+        # profile pays sum_{i,k} a_ki alpha_ik and each pair adds
         # -2 min(sqrt(alpha_ii alpha_jj), sqrt(alpha_ij alpha_ji))
         rng = np.random.default_rng(37)
         for _ in range(100):
@@ -1021,13 +1022,13 @@ class TestGradientBound:
         # every bound the probe computes, on A and on each pruned A[K, K],
         # stays below -violation_tolerance, so its early exit never fires
         bounds = []
+        floor_of = CoefficientMatrix.structured_floor.func
 
         def recording(sub):
-            floor = _structured_floor(sub)
-            bounds.append(floor)
-            return floor
+            bounds.append(floor_of(sub))
+            return bounds[-1]
 
-        monkeypatch.setattr(search, "_structured_floor", recording)
+        monkeypatch.setattr(CoefficientMatrix, "structured_floor", property(recording))
         a = validate_coefficients(raw)
         assert indecomposability_probe(a) is not None
         assert bounds and max(bounds) <= -TOL
@@ -1044,7 +1045,7 @@ class TestStructuredFloor:
             raw = rng.random((n, n)) * rng.choice([0.5, 1.5, 4.0]) * (rng.random((n, n)) > 0.2)
             a = validate_coefficients(raw)
             alpha = _simplex_point(rng, n)
-            floor = _structured_floor(a) * float(np.trace(alpha))
+            floor = a.structured_floor * float(np.trace(alpha))
             assert pairing(a, alpha) >= floor - 1e-12
 
     def test_eigenvector_profile_attains_the_floor(self):
@@ -1065,7 +1066,7 @@ class TestStructuredFloor:
                 # alpha_ij alpha_ji = x_i^2 x_j^2 with alpha_ij : alpha_ji = a_ij : a_ji
                 ratio = np.sqrt(raw[i, j] / raw[j, i])
                 alpha[i, j], alpha[j, i] = x[i] * x[j] * ratio, x[i] * x[j] / ratio
-            assert lam[0] == pytest.approx(_structured_floor(a), abs=1e-12)
+            assert lam[0] == pytest.approx(a.structured_floor, abs=1e-12)
             assert pairing(a, alpha) == pytest.approx(lam[0], abs=1e-12)
 
     def test_ckl_grid_matches_the_decomposability_boundary(self):
@@ -1077,7 +1078,7 @@ class TestStructuredFloor:
                     if abs(4 * b * c - (2 - a_val) ** 2) < 1e-9:
                         continue
                     tested += 1
-                    floor = _structured_floor(constant_ckl_matrix(CklParams(a_val, b, c)))
+                    floor = constant_ckl_matrix(CklParams(a_val, b, c)).structured_floor
                     assert floor == pytest.approx(
                         a_val - 2 * max(0.0, 1 - np.sqrt(b * c)), abs=1e-12
                     )
@@ -1088,7 +1089,7 @@ class TestStructuredFloor:
     @pytest.mark.parametrize("raw", [m[1] for m in WITNESS_MAPS], ids=[m[0] for m in WITNESS_MAPS])
     def test_negative_when_a_witness_exists(self, raw):
         a = validate_coefficients(raw)
-        assert _structured_floor(a) < -TOL
+        assert a.structured_floor < -TOL
         assert indecomposability_probe(a) is not None
 
 
@@ -1160,7 +1161,7 @@ class TestClosedFormOptimum:
             for b in values:
                 for c in values:
                     a = constant_ckl_matrix(CklParams(a_val, b, c))
-                    if _structured_floor(a) < -1e-9:
+                    if a.structured_floor < -1e-9:
                         found += 1
                         _verified(a, indecomposability_probe(a))
         assert found == 316
@@ -1174,7 +1175,7 @@ class TestClosedFormOptimum:
         for _ in range(200):
             n = int(rng.integers(2, 7))
             a = validate_coefficients(rng.random((n, n)) * 1.5)
-            floor = _structured_floor(a)
+            floor = a.structured_floor
             if floor >= -1e-6:
                 continue
             lam = _structured_root(a.a, floor)
@@ -1200,7 +1201,7 @@ class TestClosedFormOptimum:
         while len(maps) < 56:
             n = int(rng.integers(2, 9))
             a = rng.random((n, n)) * 1.5 * (rng.random((n, n)) > 0.2)
-            if _structured_floor(validate_coefficients(a)) < 0.0:
+            if validate_coefficients(a).structured_floor < 0.0:
                 maps.append((None, a))
         calls = []
         eigvalsh = np.linalg.eigvalsh
@@ -1215,7 +1216,7 @@ class TestClosedFormOptimum:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         for n, raw in maps:
             a = validate_coefficients(raw)
-            floor = _structured_floor(a)
+            floor = a.structured_floor
             calls.clear()
             hi = _structured_root(a.a, floor)
             below = math.nextafter(hi, -math.inf)
@@ -1225,7 +1226,7 @@ class TestClosedFormOptimum:
                 assert len(calls) < 25, (n, len(calls))
 
     def test_pruned_map(self):
-        floor = _structured_floor(PRUNED)
+        floor = PRUNED.structured_floor
         _, drop = search._witness_profile(PRUNED.a, _structured_root(PRUNED.a, floor))
         assert drop == 4
         cert = indecomposability_probe(PRUNED)
@@ -1248,7 +1249,7 @@ class TestClosedFormOptimum:
         # at lam = 0 infinite
         d = 2 + 1e-13
         a = validate_coefficients([[d, 0, 1e6], [1e6, d, 0], [0, 1e6, d]])
-        assert 0 < _structured_floor(a) < MIN_TOLERANCE < structured_rounding(a)
+        assert 0 < a.structured_floor < MIN_TOLERANCE < structured_rounding(a)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert indecomposability_probe(a, tolerance=MIN_TOLERANCE) is None
