@@ -20,6 +20,7 @@ import argparse
 import cmath
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -111,8 +112,8 @@ def _conditions_list(report: ConditionReport) -> list[dict]:
 
 def _violation_dict(cert: ViolationCertificate) -> dict:
     return {
-        "p": [float(v) for v in cert.p],
-        "q": [float(v) for v in cert.q],
+        "p": cert.p.tolist(),
+        "q": cert.q.tolist(),
         "gap": cert.gap,
         "residual_check": cert.residual_check,
     }
@@ -120,8 +121,8 @@ def _violation_dict(cert: ViolationCertificate) -> dict:
 
 def _witness_dict(cert: PptWitnessCertificate) -> dict:
     return {
-        "alpha": [[float(v) for v in row] for row in cert.state.alpha],
-        "r": [[float(v) for v in row] for row in cert.state.r],
+        "alpha": cert.state.alpha.tolist(),
+        "r": cert.state.r.tolist(),
         "trace_value": cert.trace_value,
         "normalized_value": cert.normalized_value,
     }
@@ -137,7 +138,7 @@ def build_document(
     extra: dict | None = None,
 ) -> dict:
     doc: dict = {
-        "input": {"n": A.n, "A": [[float(v) for v in row] for row in A.a]},
+        "input": {"n": A.n, "A": A.a.tolist()},
         "form": report.form.tag if report else None,
         "form_parameters": dict(report.form.parameters) if report else None,
         "conditions": _conditions_list(report) if report else [],
@@ -195,9 +196,52 @@ def render_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii  # the C string escaper of json.dumps
+
+
+def _to_json(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, allow_nan=False), without its pure-Python encoder.
+
+    With indent set, json.dumps falls back to CPython's pure-Python
+    encoder; this writes the same bytes for dicts with string keys, lists,
+    tuples, strings, numbers, booleans and None.  ``indent`` is that of
+    the line ``value`` starts on.
+    """
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:  # a list of finite floats is joined at once, anything else item by item
+            items = list(map(float.__repr__, value))
+            finite = all(map(math.isfinite, value))
+        except TypeError:
+            finite = False
+        if not finite:
+            items = [_to_json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_ESCAPE(k) + ": " + _to_json(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        sys.stdout.write(_to_json(doc) + "\n")
     else:
         sys.stdout.write(render_text(doc))
 

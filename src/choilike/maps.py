@@ -29,6 +29,7 @@ each is the hypothesis of a theorem, and a slot of 1e-13 beside one of
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,14 +75,21 @@ class CoefficientMatrix:
         limit), whose state is positive when every pair in the support of
         its x has mu_ij > 0.  Reading it runs no exact check.
         """
-        return float(np.linalg.eigvalsh(structured_matrix(self.a))[0])
+        return float(np.linalg.eigvalsh(self.structured)[0])
+
+    @functools.cached_property
+    def structured(self) -> np.ndarray:
+        """T = structured_matrix(a), built once and read-only."""
+        t = structured_matrix(self.a)
+        t.setflags(write=False)
+        return t
 
     @functools.cached_property
     def decomposition_verified(self) -> bool:
         """The verdict of decomposition_check, computed once."""
         if self.structured_floor < -structured_rounding(self):
             return False
-        m = _box_certificate(self, structured_matrix(self.a))
+        m = _box_certificate(self, self.structured)
         return m is not None and _rational_psd(m)
 
     def _require_n3(self) -> None:
@@ -221,23 +229,20 @@ def _box_certificate(A: CoefficientMatrix, t: np.ndarray) -> np.ndarray | None:
     In exact arithmetic 1 + T_ij = min(1, sqrt(a_ij a_ji)) sits on the
     box; the float T may overshoot it by a few ulps.  Each step moves the
     failing entries by at least one ulp of M_ij and of 1 + M_ij.  Returns
-    None when the box still fails after _BOX_STEPS steps.
+    None when the box still fails after _BOX_STEPS steps.  The entries are
+    read once as floats; after the first pass only the moved pairs are
+    tested again, since the test of a pair reads nothing else.
     """
     n = A.n
-    a = A.a.tolist()
-    m = t.copy()
+    a, m = A.a.tolist(), t.tolist()
+    bad = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for _ in range(_BOX_STEPS + 1):
-        bad = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if _outside_box(m[i, j], a[i][j], a[j][i])
-        ]
+        bad = [(i, j) for i, j in bad if _outside_box(m[i][j], a[i][j], a[j][i])]
         if not bad:
-            return m
+            return np.array(m)
         for i, j in bad:
-            step = min(np.nextafter(m[i, j], -1.0), m[i, j] - np.spacing(1.0 + m[i, j]))
-            m[i, j] = m[j, i] = step
+            v = m[i][j]
+            m[i][j] = m[j][i] = min(math.nextafter(v, -1.0), v - math.ulp(1.0 + v))
     return None
 
 

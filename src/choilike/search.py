@@ -14,7 +14,7 @@ Two one-sided certificate families are produced here:
 The violation search is multi-start projected gradient descent over q,
 with the best p for each q in closed form, an n x n least eigenvector.
 Its starts are a fixed function of A: every closed-form pair seed, then
-16 rows from one generator with a fixed seed, built anew in every call.
+16 rows from one generator with a fixed seed, built once per side n.
 The final answer is the lexicographic minimum over (value, start
 index), so results are bit-identical for a given A.  The witness probe
 has no starts and no randomness: it takes the closed-form optimum of its
@@ -27,6 +27,7 @@ Absence of a certificate proves nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -131,24 +132,33 @@ def _pair_seeds(A: CoefficientMatrix) -> list[np.ndarray]:
     return seeds
 
 
+@functools.cache  # one read-only array per (n, count)
+def _random_rows(n: int, count: int) -> np.ndarray:
+    """count unit rows: -log of uniform draws from a new generator of fixed seed, normalized."""
+    draws = -np.log(np.random.default_rng(42).random((count, n)))
+    rows = draws / np.linalg.norm(draws, axis=1, keepdims=True)
+    rows.setflags(write=False)
+    return rows
+
+
 def _start_points(A: CoefficientMatrix) -> np.ndarray:
     """The rows q of the violation search: every pair seed, then _RANDOM_STARTS random points.
 
-    The random rows are -log of uniform draws, normalized, from a generator
-    with a fixed seed built here, so that no call sees the state another
-    call left behind and the start set is a function of A alone.
+    The start set is a function of A alone, returned in a new array.
     """
     seeds = np.reshape(_pair_seeds(A), (-1, A.n))
-    draws = -np.log(np.random.default_rng(42).random((_RANDOM_STARTS, A.n)))
-    return np.concatenate([seeds, draws / np.linalg.norm(draws, axis=1, keepdims=True)])
+    return np.concatenate([seeds, _random_rows(A.n, _RANDOM_STARTS)])
 
 
 def _project_unit_nonneg(mat: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Clamp negatives to zero and renormalize rows; dead rows keep the fallback."""
     clip = np.maximum(mat, 0.0)
     norms = np.sqrt((clip * clip).sum(axis=1, keepdims=True))  # np.linalg.norm's own formula
+    live = norms > 0.0
+    if live.all():
+        return clip / norms
     dead = norms[:, 0] <= 0.0
-    out = np.divide(clip, np.where(norms > 0.0, norms, 1.0))
+    out = np.divide(clip, np.where(live, norms, 1.0))
     if np.any(dead):
         out[dead] = fallback[dead]
     return out
@@ -243,14 +253,21 @@ def find_positivity_violation(
         newG, newP, newGrad = _eliminate_p(w, newQ)
         improved = newG < g
         settled = improved & (g - newG < _STEP_TOLERANCE)
-        moved = improved[:, None]
-        q, p = np.where(moved, newQ, q), np.where(moved, newP, p)
-        grad = np.where(moved, newGrad, grad)
-        g = np.where(improved, newG, g)
-        step *= np.where(improved, _GROW, _SHRINK)
+        if improved.all():  # the rows are merged only when some improved and some did not
+            q, p, grad, g = newQ, newP, newGrad, newG
+            step *= _GROW
+        elif improved.any():
+            moved = improved[:, None]
+            q, p = np.where(moved, newQ, q), np.where(moved, newP, p)
+            grad = np.where(moved, newGrad, grad)
+            g = np.where(improved, newG, g)
+            step *= np.where(improved, _GROW, _SHRINK)
+        else:
+            step *= _SHRINK
         reach = np.abs(_tangent_gradient(q, grad)).max(axis=1)
         over = step * reach > 2.0  # such a step cannot move a unit q any further
-        step[over] = 2.0 / reach[over]
+        if over.any():
+            step[over] = 2.0 / reach[over]
         going = (step * reach > _UNIT_ROUNDING) & ~settled
         if not going.all():
             done = np.flatnonzero(~going)
@@ -277,11 +294,18 @@ def verify_counterexample(
     """Apply the map to X and report the determinant and both PSD flags.
 
     A matrix passes as PSD when its least eigenvalue is at least -tolerance.
+    An image or determinant that overflows raises ValueError.
     """
     require_tolerance(tolerance)
     x = require_hermitian(X)
-    image = apply_map(A, x)
-    det = determinant(image)
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = apply_map(A, x)
+        det = determinant(image) if np.isfinite(image).all() else math.inf
+    if not math.isfinite(det):
+        raise ValueError(
+            "the image of X or its determinant overflows; scaling X down by a positive "
+            "factor leaves X and its image as positive semidefinite as before"
+        )
     image_psd, _ = is_psd(image, tolerance)
     input_psd, _ = is_psd(x, tolerance)
     return CounterexampleCheck(image=image, det=det, psd=image_psd, input_psd=input_psd)

@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -304,10 +305,16 @@ class TestStructuredDecomposition:
         ids=["structured", "choi", "ckl-0.75-1.25-0.25", "gchoi-8"],
     )
     def test_analysis_checks_once(self, tmp_path, capsys, monkeypatch, payload):
-        # the report and both searches share one lambda_min(T(A)) and at most one exact check
-        t = structured_matrix(validate_coefficients(payload["A"]).a)
-        floors, checks = [], []
-        eigvalsh, box = np.linalg.eigvalsh, maps._box_certificate
+        # the report and both searches share one T(A), one lambda_min(T(A)) and at most
+        # one exact check
+        a = validate_coefficients(payload["A"]).a
+        t = structured_matrix(a)
+        builds, floors, checks = [], [], []
+        build, eigvalsh, box = maps.structured_matrix, np.linalg.eigvalsh, maps._box_certificate
+
+        def counting_build(m):
+            builds.append(np.array_equal(m, a))
+            return build(m)
 
         def counting_eigvalsh(m, *args, **kwargs):
             floors.append(np.array_equal(m, t))
@@ -317,10 +324,11 @@ class TestStructuredDecomposition:
             checks.append(1)
             return box(A, m)
 
+        monkeypatch.setattr(maps, "structured_matrix", counting_build)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         monkeypatch.setattr(maps, "_box_certificate", counting_box)
         code, _ = run_json(capsys, "analyze", "-i", write(tmp_path, payload))
-        assert code == 0 and sum(floors) == 1 and len(checks) <= 1
+        assert code == 0 and sum(builds) == 1 and sum(floors) == 1 and len(checks) <= 1
 
     def test_failed_check_refutes_nothing(self, tmp_path, capsys):
         code, doc = run_json(capsys, "analyze", "-i", write(tmp_path, CHOI))
@@ -846,3 +854,103 @@ class TestDeterminism:
             )
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+REPORT_FLOATS = (
+    FINITE
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16, 1e-7])
+    | FINITE.map(np.float64)
+)
+REPORT_SCALARS = st.none() | st.booleans() | st.integers() | REPORT_FLOATS | st.text()
+REPORT_VALUES = st.recursive(
+    REPORT_SCALARS | st.lists(REPORT_FLOATS, max_size=6),  # a list of floats is joined at once
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """cli._to_json writes the bytes of json.dumps(value, indent=2, allow_nan=False)."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(REPORT_VALUES)
+    def test_bytes_of_json_dumps(self, value):
+        assert cli._to_json(value) == json.dumps(value, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            {"": [], "a": {}, "b": [{}, []], "c": [[1.0, -0.0], [5e-324, 1.7976931348623157e308]]},
+            ["é中\U0001f600", 'quote " back \\ slash', "\x00\x1f\n\t\x7f", "\ud800"],
+            {'k "1"\n\x01ü': [True, False, None, 0, -7, 10**30, 1.5, np.float64(-2.5)]},
+            (1.0, 2.0, (3, "x")),
+        ],
+        ids=["empty-dict", "empty-list", "nested-empties", "strings", "keys-and-scalars", "tuples"],
+    )
+    def test_edge_values(self, value):
+        assert cli._to_json(value) == json.dumps(value, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)]
+    )
+    @pytest.mark.parametrize("where", ["alone", "in-float-list", "in-mixed-list", "in-dict"])
+    def test_non_finite_raises_value_error(self, bad, where):
+        value = {
+            "alone": bad,
+            "in-float-list": [1.0, bad, 2.0],
+            "in-mixed-list": ["x", [1.0, bad]],
+            "in-dict": {"a": {"b": bad}},
+        }[where]
+        with pytest.raises(ValueError) as want:
+            json.dumps(value, indent=2, allow_nan=False)
+        with pytest.raises(ValueError) as got:
+            cli._to_json(value)
+        assert str(got.value) == str(want.value)
+
+    def test_emitted_reports_are_json_dumps(self, tmp_path, capsys):
+        for payload in (CHOI, ALL_ONES, counterexample_payload(), GCHOI8):
+            code, out = run_cli(capsys, "analyze", "-i", write(tmp_path, payload), "--format", "json")
+            assert code == 0
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# every entry is inside the coefficient range, but the image of X or its determinant is not finite
+OVERFLOWING_X = {
+    "det-7": {"A": [[1e50] * 7] * 7, "X": np.eye(7).tolist()},
+    "image-3": {
+        "A": [[1e50, 1, 1], [1, 1e50, 1], [1, 1, 1e50]],
+        "X": (1e300 * np.eye(3)).tolist(),
+    },
+}
+
+
+class TestOverflowingImage:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("name", list(OVERFLOWING_X))
+    def test_refused_as_invalid_input(self, tmp_path, capsys, fmt, name):
+        path = write(tmp_path, OVERFLOWING_X[name])
+        assert main(["analyze", "-i", path, "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: the image of X or its determinant overflows; scaling X down")
+
+    def test_scaled_down_x_is_analysed(self, tmp_path, capsys):
+        payload = dict(OVERFLOWING_X["det-7"], X=(1e-10 * np.eye(7)).tolist())
+        code, doc = run_json(capsys, "analyze", "-i", write(tmp_path, payload))
+        assert code == 0
+        assert doc["counterexample_check"]["input_psd"] and doc["counterexample_check"]["image_psd"]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_no_warning_or_traceback_in_a_fresh_process(self, tmp_path, fmt):
+        path = write(tmp_path, OVERFLOWING_X["det-7"])
+        proc = subprocess.run(
+            [sys.executable, "-m", "choilike.cli", "analyze", "-i", path, "--format", fmt],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONWARNINGS="error"),
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: the image of X or its determinant overflows")
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr

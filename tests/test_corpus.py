@@ -1,11 +1,21 @@
 """Every corpus input keeps the flags and certificates pinned in flag_ledger.txt (see corpus.py)."""
 
+import functools
+import json
+
 import numpy as np
 import pytest
 
 import corpus
+from choilike.cli import _to_json
 from choilike.maps import validate_coefficients
 from choilike.search import positivity_gap
+
+
+@functools.cache
+def _reports() -> tuple[tuple[str, dict], ...]:
+    """(name, report) for every corpus input, analysed once for the tests that read them all."""
+    return tuple((name, corpus.analyze(entry)) for name, entry in corpus.corpus())
 
 
 def test_ledger_lists_the_corpus_in_order():
@@ -56,10 +66,16 @@ def test_ledger_problems(pinned, flags, problems):
 def test_no_input_loses_a_flag_or_gains_a_contradicting_one():
     ledger = corpus.read_ledger()
     problems = []
-    for name, entry in corpus.corpus():
-        labels = corpus.labels(corpus.analyze(entry))
+    for name, report in _reports():
+        labels = corpus.labels(report)
         problems += [f"{name}: {p}" for p in corpus.ledger_problems(ledger[name], labels)]
     assert not problems, f"{len(problems)} problems, first {problems[:20]}"
+
+
+def test_every_report_is_written_with_the_bytes_of_json_dumps():
+    for name, report in _reports():
+        doc = dict(report, config=dict(report["config"], format="json"))  # as main emits it
+        assert _to_json(doc) == json.dumps(doc, indent=2, allow_nan=False), name
 
 
 def test_diagonal_conjugation_contradicts_no_flag_and_maps_each_violation():

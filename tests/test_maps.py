@@ -325,6 +325,23 @@ class TestDecompositionCheck:
         assert m[0, 1] == np.nextafter(t[0, 1], -1.0)
         assert decomposition_check(a)[0]
 
+    def test_second_pass_tests_only_the_moved_pairs(self, monkeypatch):
+        # only 1 + T_12 = 1 - fl(1 - fl(sqrt(0.01 * 0.01))) starts outside the box;
+        # the pairs with a_ij a_ji = 1 sit on it at T_ij = -0.0
+        a = validate_coefficients([[1.0, 0.01, 1.0], [0.01, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        tested = []
+        outside = maps._outside_box
+
+        def counting(m, x, y):
+            tested.append((x, y))
+            return outside(m, x, y)
+
+        monkeypatch.setattr(maps, "_outside_box", counting)
+        m = _certificate(a)
+        assert tested == [(0.01, 0.01), (1.0, 1.0), (1.0, 1.0), (0.01, 0.01)]
+        assert m is not None and m[0, 1] == np.nextafter(structured_matrix(a.a)[0, 1], -1.0)
+        assert np.array_equal(m, fraction_box_certificate(a, structured_matrix(a.a)))
+
     def test_zero_pivot_needs_a_zero_column(self):
         assert _rational_psd(np.array([[0.0, 0.0], [0.0, 1.0]]))
         assert not _rational_psd(np.array([[0.0, 1e-300], [1e-300, 1.0]]))

@@ -373,6 +373,17 @@ class TestRandomStarts:
         assert np.array_equal(rows[: len(seeds)], seeds)
         assert np.array_equal(rows, search._start_points(a))
 
+    @pytest.mark.parametrize("seeded", [True, False], ids=["with-seeds", "random-rows-only"])
+    def test_same_rows_after_a_caller_writes_into_them(self, seeded):
+        # the random rows are drawn once per side n; each call returns a new, writable array
+        raw = 0.5 + np.random.default_rng(5).random((5, 5)) if seeded else np.eye(5)
+        a = validate_coefficients(raw)
+        first = search._start_points(a)
+        want = first.copy()
+        first[:] = 7.0
+        assert np.array_equal(search._start_points(a), want)
+        assert np.array_equal(want[-16:], search._start_points(validate_coefficients(np.eye(5))))
+
 
 class TestCertifiedExit:
     """find_positivity_violation returns None at entry on an exactly decomposed map."""
