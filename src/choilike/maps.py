@@ -145,26 +145,31 @@ def validate_coefficients(raw) -> CoefficientMatrix:
         raise ValueError(f"coefficient matrix entries must be numbers, got {a.dtype} entries")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got shape {a.shape}")
-    # a bool among numbers takes the numbers' dtype, so look at the entries themselves
-    if any(isinstance(v, bool) for row in raw for v in row):
+    # a bool among numbers takes the numbers' dtype, so look at the entries themselves (bool
+    # has no subclasses); an array of a numeric dtype holds none
+    if not isinstance(raw, np.ndarray) and bool in {type(v) for row in raw for v in row}:
         raise ValueError("coefficient matrix entries must be numbers, got a boolean")
     a = a.astype(float)
     n = a.shape[0]
     if n < 2:
         raise ValueError("coefficient matrix needs n >= 2")
-    if not np.all(np.isfinite(a)):
+    entries = a.ravel().tolist()  # row-major, so entry k is a[k // n][k % n]
+    if not all(map(math.isfinite, entries)):
         raise ValueError("coefficient matrix entries must be finite")
-    if np.min(a) < -NEGATIVE_CLAMP:
-        i, j = np.unravel_index(int(np.argmin(a)), a.shape)
+    least = min(entries)
+    if least < -NEGATIVE_CLAMP:
+        i, j = divmod(entries.index(least), n)
         raise ValueError(f"negative coefficient a[{i + 1}][{j + 1}] = {a[i, j]}")
-    a = np.where(a <= 0.0, 0.0, a)
+    if least <= 0.0:
+        a = np.where(a <= 0.0, 0.0, a)
     low, high = COEFFICIENT_RANGE
-    outside = (a != 0.0) & ((a < low) | (a > high))
-    if outside.any():
-        i, j = np.argwhere(outside)[0]
-        raise ValueError(
-            f"nonzero coefficient a[{i + 1}][{j + 1}] = {a[i, j]} outside [{low}, {high}]"
-        )
+    if least < low or max(entries) > high:
+        for k, v in enumerate(entries):
+            if 0.0 < v < low or v > high:
+                i, j = divmod(k, n)
+                raise ValueError(
+                    f"nonzero coefficient a[{i + 1}][{j + 1}] = {a[i, j]} outside [{low}, {high}]"
+                )
     a.setflags(write=False)
     return CoefficientMatrix(n=n, a=a)
 

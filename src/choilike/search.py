@@ -12,9 +12,10 @@ Two one-sided certificate families are produced here:
   negative.
 
 The violation search is multi-start projected gradient descent over q,
-with the best p for each q in closed form, an n x n least eigenvector.
-Its starts are a fixed function of A: every closed-form pair seed, then
-16 rows from one generator with a fixed seed, built once per side n.
+with the best p for each q in closed form, an n x n least eigenvector,
+and a two-point (Barzilai-Borwein) step per start.  Its starts are a
+fixed function of A: every closed-form pair seed, then 16 rows from one
+generator with a fixed seed, built once per side n.
 The final answer is the lexicographic minimum over (value, start
 index), so results are bit-identical for a given A.  The witness probe
 has no starts and no randomness: it takes the closed-form optimum of its
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -114,22 +116,28 @@ def positivity_gap(A: CoefficientMatrix, p, q) -> float:
     return float((pv ** 2) @ w @ (qv ** 2) - (pv @ qv) ** 2)
 
 
-def _pair_seeds(A: CoefficientMatrix) -> list[np.ndarray]:
-    """Closed-form two-index starting points q, where defined."""
+def _pair_seeds(A: CoefficientMatrix) -> np.ndarray:
+    """Closed-form two-index starting points q, where defined, one per row.
+
+    The pair (i, j), i != j, in row-major order, gives q_j = 1 and
+    q_i = (a_ij a_jj / (a_ji a_ii))^(1/4), normalized, when a_ji, a_ii and
+    a_jj are positive.  The fourth roots are Python float powers, the libm
+    pow of numpy's scalar power; its vectorized power may differ in the
+    last bit.
+    """
     a = A.a
-    n = A.n
-    seeds = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if a[j, i] <= 0.0 or a[j, j] <= 0.0 or a[i, i] <= 0.0:
-                continue
-            q = np.zeros(n)
-            q[j] = 1.0
-            q[i] = (a[i, j] * a[j, j] / (a[j, i] * a[i, i])) ** 0.25
-            seeds.append(q / np.linalg.norm(q))
-    return seeds
+    diag = a.diagonal()
+    live = diag > 0.0
+    pairs = (a.T > 0.0) & live[:, None] & live
+    pairs.flat[:: A.n + 1] = False  # i != j
+    i, j = pairs.nonzero()
+    ratio = a[i, j] * diag[j] / (a[j, i] * diag[i])
+    t = np.array([r ** 0.25 for r in ratio.tolist()])
+    seeds = np.zeros((i.size, A.n))
+    rows = np.arange(i.size)
+    seeds[rows, j] = 1.0
+    seeds[rows, i] = t
+    return seeds / np.sqrt(1.0 + t * t)[:, None]
 
 
 @functools.cache  # one read-only array per (n, count)
@@ -146,8 +154,7 @@ def _start_points(A: CoefficientMatrix) -> np.ndarray:
 
     The start set is a function of A alone, returned in a new array.
     """
-    seeds = np.reshape(_pair_seeds(A), (-1, A.n))
-    return np.concatenate([seeds, _random_rows(A.n, _RANDOM_STARTS)])
+    return np.concatenate([_pair_seeds(A), _random_rows(A.n, _RANDOM_STARTS)])
 
 
 def _project_unit_nonneg(mat: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -189,6 +196,24 @@ def _eliminate_p(w: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return values[:, 0], P, grad
 
 
+def _next_step(step: np.ndarray, improved: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The step of each start after its trial, with s = q_new - q and y = grad_new - grad.
+
+    After an improving trial the step is the two-point step s.s / s.y of
+    Barzilai and Borwein (IMA J. Numer. Anal. 8, 1988), the inverse of the
+    curvature of the gap along s, but at least step * _SHRINK; where s.y
+    is not positive it grows by _GROW instead.  A rejected trial shrinks
+    the step by _SHRINK.  An s.y below the least normal double has
+    underflowed and counts as no curvature, so the quotient stays finite:
+    s.s <= 2 on nonnegative unit rows.
+    """
+    sy = (s * y).sum(axis=1)
+    shrunk = step * _SHRINK
+    out = np.where(improved, step * _GROW, shrunk)
+    np.divide((s * s).sum(axis=1), sy, out=out, where=improved & (sy >= sys.float_info.min))
+    return np.maximum(out, shrunk)
+
+
 def find_positivity_violation(
     A: CoefficientMatrix, tolerance: float = DEFAULT_MARGIN_BAND
 ) -> ViolationCertificate | None:
@@ -217,19 +242,22 @@ def find_positivity_violation(
     the descent still runs, as the cross-check that exposes a wrong
     theorem.
 
+    Step.  Each start's step follows _next_step: the two-point step
+    s.s / s.y after a trial that lowers its value, a halved step after one
+    that does not.  It is capped at step * max|g_T| = 2, with g_T from
+    _tangent_gradient, which moves a unit q as far as any longer step; a
+    step that is not capped can overflow.
+
     Stopping.  A start stops when an accepted step gains less than
-    _STEP_TOLERANCE, or once step * max|g_T| <= 2^-52 with g_T from
-    _tangent_gradient: its trial point is then within rounding of the unit
-    vector q, whatever the scale of the coefficients.  A step grows no
-    further than step * max|g_T| = 2, which moves a unit q as far as any
-    longer step; left to grow, it overflows.  The descent ends when every
-    start has stopped, after _MAX_ITERATIONS, or as soon as the lowest
-    value belongs to a stopped start and lies below -tolerance: that
-    start is a certificate, and a certificate needs only the sign of its
-    gap.  Starts still moving could lower the gap a little further, but
-    they cannot undo the certificate; near a degenerate minimum or saddle
-    some of them would creep with gains just above _STEP_TOLERANCE until
-    _MAX_ITERATIONS.
+    _STEP_TOLERANCE, or once step * max|g_T| <= 2^-52: its trial point is
+    then within rounding of the unit vector q, whatever the scale of the
+    coefficients.  The descent ends when every start has stopped, after
+    _MAX_ITERATIONS, or as soon as the lowest value belongs to a stopped
+    start and lies below -tolerance: that start is a certificate, and a
+    certificate needs only the sign of its gap.  Starts still moving could
+    lower the gap a little further, but they cannot undo the certificate;
+    near a degenerate minimum or saddle some of them would creep with
+    gains just above _STEP_TOLERANCE until _MAX_ITERATIONS.
     """
     require_tolerance(tolerance)
     if A.decomposition_verified:
@@ -253,19 +281,18 @@ def find_positivity_violation(
         newG, newP, newGrad = _eliminate_p(w, newQ)
         improved = newG < g
         settled = improved & (g - newG < _STEP_TOLERANCE)
+        step = _next_step(step, improved, newQ - q, newGrad - grad)
         if improved.all():  # the rows are merged only when some improved and some did not
             q, p, grad, g = newQ, newP, newGrad, newG
-            step *= _GROW
         elif improved.any():
             moved = improved[:, None]
             q, p = np.where(moved, newQ, q), np.where(moved, newP, p)
             grad = np.where(moved, newGrad, grad)
             g = np.where(improved, newG, g)
-            step *= np.where(improved, _GROW, _SHRINK)
-        else:
-            step *= _SHRINK
         reach = np.abs(_tangent_gradient(q, grad)).max(axis=1)
-        over = step * reach > 2.0  # such a step cannot move a unit q any further
+        # step * reach > 2: such a step cannot move a unit q any further (a two-point
+        # step can be near 2^1023, so the product could overflow)
+        over = reach > 2.0 / step
         if over.any():
             step[over] = 2.0 / reach[over]
         going = (step * reach > _UNIT_ROUNDING) & ~settled

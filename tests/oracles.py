@@ -6,10 +6,12 @@ against the textbook objects: the block (Choi) matrix and its partial
 transpose, the shift average, the rescaled constant maps with their
 dominance certificate, the sum-of-squares split of the positivity gap,
 the per-pair bounds that the pairwise rows take the least of, and the
-paper's witness vectors.  It also keeps earlier forms of two hot paths,
-which the faster forms in the package must match bit for bit: the
-violation descent with masks over every start, and the n = 3 slot reads
-on numpy arrays.  Test files import this module as ``oracles``.
+paper's witness vectors.  It also keeps earlier forms of four hot
+paths: the violation descent with masks over every start, the n = 3
+slot reads and the coefficient checks as numpy calls, which the faster
+forms in the package must match bit for bit, and the pair seeds as a
+loop, which they match up to the rounding of each seed's norm.  Test
+files import this module as ``oracles``.
 
 Block conventions are those of ``choilike.linalg``: a matrix of side n^2
 is an n x n grid of n x n blocks, with row index i * n + k addressing
@@ -37,6 +39,8 @@ from choilike.criteria import (
 )
 from choilike.linalg import hermitian_eigenvalues, outer_product, require_hermitian
 from choilike.maps import (
+    COEFFICIENT_RANGE,
+    NEGATIVE_CLAMP,
     CklParams,
     CoefficientMatrix,
     FormClass,
@@ -309,6 +313,53 @@ def assemble_structured_state(alpha: np.ndarray, r: np.ndarray) -> np.ndarray:
     return rho
 
 
+def numpy_validate_coefficients(raw) -> CoefficientMatrix:
+    """maps.validate_coefficients with every check a numpy reduction over the whole array."""
+    a = np.asarray(raw)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"coefficient matrix entries must be numbers, got {a.dtype} entries")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"coefficient matrix must be square, got shape {a.shape}")
+    if any(isinstance(v, bool) for row in raw for v in row):
+        raise ValueError("coefficient matrix entries must be numbers, got a boolean")
+    a = a.astype(float)
+    n = a.shape[0]
+    if n < 2:
+        raise ValueError("coefficient matrix needs n >= 2")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("coefficient matrix entries must be finite")
+    if np.min(a) < -NEGATIVE_CLAMP:
+        i, j = np.unravel_index(int(np.argmin(a)), a.shape)
+        raise ValueError(f"negative coefficient a[{i + 1}][{j + 1}] = {a[i, j]}")
+    a = np.where(a <= 0.0, 0.0, a)
+    low, high = COEFFICIENT_RANGE
+    outside = (a != 0.0) & ((a < low) | (a > high))
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise ValueError(
+            f"nonzero coefficient a[{i + 1}][{j + 1}] = {a[i, j]} outside [{low}, {high}]"
+        )
+    return CoefficientMatrix(n=n, a=a)
+
+
+def loop_pair_seeds(A: CoefficientMatrix) -> np.ndarray:
+    """search._pair_seeds as a loop over the pairs, each seed normalized by np.linalg.norm."""
+    a = A.a
+    n = A.n
+    seeds = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if a[j, i] <= 0.0 or a[j, j] <= 0.0 or a[i, i] <= 0.0:
+                continue
+            q = np.zeros(n)
+            q[j] = 1.0
+            q[i] = (a[i, j] * a[j, j] / (a[j, i] * a[i, i])) ** 0.25
+            seeds.append(q / np.linalg.norm(q))
+    return np.reshape(seeds, (-1, n))
+
+
 def masked_violation_search(
     A: CoefficientMatrix, tolerance: float = DEFAULT_MARGIN_BAND
 ) -> search.ViolationCertificate | None:
@@ -336,14 +387,14 @@ def masked_violation_search(
         newQ = search._project_unit_nonneg(Q[run] - step[run, None] * grad[run], Q[run])
         newG, newP, newGrad = search._eliminate_p(w, newQ)
         improved = newG < G[run]
+        step[run] = search._next_step(step[run], improved, newQ - Q[run], newGrad - grad[run])
         won = run[improved]
         gain = G[won] - newG[improved]
         Q[won], P[won], grad[won] = newQ[improved], newP[improved], newGrad[improved]
         G[won] = newG[improved]
-        step[run] *= np.where(improved, search._GROW, search._SHRINK)
         active[won[gain < search._STEP_TOLERANCE]] = False
         reach = np.abs(search._tangent_gradient(Q[run], grad[run])).max(axis=1)
-        over = step[run] * reach > 2.0  # such a step cannot move a unit q any further
+        over = reach > 2.0 / step[run]  # such a step cannot move a unit q any further
         step[run[over]] = 2.0 / reach[over]
         active[run] &= step[run] * reach > search._UNIT_ROUNDING
 

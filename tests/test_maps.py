@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choilike import maps
 from choilike.criteria import full_report
@@ -30,6 +32,7 @@ from oracles import (
     ScalingVector,
     choi_matrix,
     constant_ckl_matrix,
+    numpy_validate_coefficients,
     scaled_ckl_matrix,
     shift_average,
 )
@@ -54,6 +57,13 @@ def hermitian_unit(i, j, n, imag=False):
         e[i, j] = 1.0
         e[j, i] = 1.0
     return e
+
+
+# entries at and across every boundary of the checks, as floats, integers and booleans
+ENTRY = st.sampled_from(
+    [0.0, -0.0, -1e-13, -1e-12, -2e-12, -0.5, 1e-50, 9.9e-51, 1e50, 1.1e50, 5e-324,
+     float("nan"), float("inf"), -float("inf"), 0, 1, -1, 10 ** 60, True, False]
+) | st.floats(min_value=-2.0, max_value=2.0)
 
 
 class TestValidation:
@@ -89,6 +99,28 @@ class TestValidation:
             validate_coefficients([[1.0]])
         with pytest.raises(ValueError, match="finite"):
             validate_coefficients([[np.nan, 0], [0, 1]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+        ),
+        st.booleans(),
+    )
+    def test_same_decisions_as_the_numpy_checks(self, rows, as_array):
+        raw = rows
+        if as_array:
+            try:
+                raw = np.array(rows)
+            except (OverflowError, ValueError):
+                return
+        outcomes = []
+        for check in (validate_coefficients, numpy_validate_coefficients):
+            try:
+                outcomes.append(check(raw).a.tobytes())
+            except ValueError as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1]
 
     def test_named_entry_convention(self):
         a = validate_coefficients(COUNTEREXAMPLE)

@@ -28,9 +28,7 @@ from choilike.maps import (
     validate_coefficients,
 )
 from choilike.search import (
-    _GROW,
     _MAX_ITERATIONS,
-    _SHRINK,
     _STEP_TOLERANCE,
     PptWitnessCertificate,
     StructuredPptState,
@@ -51,6 +49,7 @@ from oracles import (
     constant_ckl_matrix,
     cyclic_form_witness,
     gap_decomposition,
+    loop_pair_seeds,
     masked_violation_search,
     partial_transpose,
     zero_pattern_witnesses,
@@ -141,6 +140,7 @@ def descent_probe(A, seed):
         return g
 
     F = values(alphas)
+    grad = gradients(alphas).reshape(S, n * n)
     step = np.full(S, 0.1)
     active = np.ones(S, dtype=bool)
     flat = alphas.reshape(S, n * n)
@@ -150,15 +150,16 @@ def descent_probe(A, seed):
         if rows.size == 0:
             break
         cur = flat[rows]
-        grad = gradients(cur.reshape(-1, n, n)).reshape(-1, n * n)
-        proposal = _project_simplex_rows(cur - step[rows, None] * grad)
+        proposal = _project_simplex_rows(cur - step[rows, None] * grad[rows])
         newF = values(proposal.reshape(-1, n, n))
+        newGrad = gradients(proposal.reshape(-1, n, n)).reshape(-1, n * n)
         improved = newF < F[rows]
         gain = F[rows] - newF
+        step[rows] = search._next_step(step[rows], improved, proposal - cur, newGrad - grad[rows])
         won = rows[improved]
         flat[won] = proposal[improved]
         F[won] = newF[improved]
-        step[rows] = np.where(improved, step[rows] * _GROW, step[rows] * _SHRINK)
+        grad[won] = newGrad[improved]
         active[rows[improved & (gain < _STEP_TOLERANCE)]] = False
         active &= step > _STEP_FLOOR
 
@@ -385,6 +386,29 @@ class TestRandomStarts:
         assert np.array_equal(want[-16:], search._start_points(validate_coefficients(np.eye(5))))
 
 
+class TestPairSeeds:
+    """The pair seeds in one numpy expression are the loop's, up to the rounding of each norm."""
+
+    def test_matches_the_loop(self):
+        # np.linalg.norm of one seed runs a BLAS dot, which may fuse 1 + t t into one
+        # rounding; sqrt(1 + t * t) rounds t t first: at most an ulp in the norm, so two
+        # in each entry after the division
+        rng = np.random.default_rng(50)
+        wide = [
+            10.0 ** rng.uniform(-50, 50, (n, n)) * (rng.random((n, n)) > 0.2) for n in range(2, 17)
+        ]
+        arrays = [raw for _, raw in corpus.corpus() if not isinstance(raw, str)] + wide
+        differ = 0
+        for raw in arrays:
+            a = validate_coefficients(raw)
+            got, want = search._pair_seeds(a), loop_pair_seeds(a)
+            assert got.shape == want.shape, raw.tolist()
+            assert np.array_equal(got == 0.0, want == 0.0), raw.tolist()  # the same pairs, in order
+            np.testing.assert_array_max_ulp(got, want, maxulp=2)
+            differ += not np.array_equal(got, want)
+        assert differ < len(arrays) // 2
+
+
 class TestCertifiedExit:
     """find_positivity_violation returns None at entry on an exactly decomposed map."""
 
@@ -447,7 +471,10 @@ def full_descent(A):
 
     find_positivity_violation step for step, except that the descent ends
     only once every start has stopped or after _MAX_ITERATIONS.  Returns
-    the gap of its best start when below -TOL, otherwise None.
+    the final q of every start when the gap at the best of them is below
+    -TOL, otherwise None.  The early stop returns a start that has stopped,
+    and a stopped start never moves again, so its q is one of these rows,
+    bit for bit, and the best value here is no higher than its.
     """
     if decomposition_check(A)[0]:
         return None
@@ -463,19 +490,22 @@ def full_descent(A):
         newQ = search._project_unit_nonneg(Q[run] - step[run, None] * grad[run], Q[run])
         newG, newP, newGrad = search._eliminate_p(w, newQ)
         improved = newG < G[run]
+        step[run] = search._next_step(step[run], improved, newQ - Q[run], newGrad - grad[run])
         won = run[improved]
         gain = G[won] - newG[improved]
         Q[won], P[won], grad[won] = newQ[improved], newP[improved], newGrad[improved]
         G[won] = newG[improved]
-        step[run] *= np.where(improved, _GROW, _SHRINK)
         active[won[gain < _STEP_TOLERANCE]] = False
         reach = np.abs(search._tangent_gradient(Q[run], grad[run])).max(axis=1)
-        over = step[run] * reach > 2.0
+        over = reach > 2.0 / step[run]
         step[run[over]] = 2.0 / reach[over]
         active[run] &= step[run] * reach > search._UNIT_ROUNDING
     best = int(np.argmin(G))
-    gap = positivity_gap(A, P[best], Q[best])
-    return gap if gap < -TOL else None
+    return Q if positivity_gap(A, P[best], Q[best]) < -TOL else None
+
+
+def _is_row(q, rows):
+    return any(np.array_equal(q, row) for row in rows)
 
 
 class TestEarlyStop:
@@ -498,7 +528,7 @@ class TestEarlyStop:
         calls.clear()
         full = full_descent(a)
         assert len(calls) == _MAX_ITERATIONS  # one projection per step
-        assert full <= early.gap < -0.018
+        assert _is_row(early.q, full) and early.gap < -0.018
 
     def test_agrees_with_the_full_descent(self):
         rng = np.random.default_rng(515)
@@ -509,7 +539,7 @@ class TestEarlyStop:
         for a, e, f in zip(maps, early, full):
             assert (e is None) == (f is None), a.a.tolist()
             if f is not None:
-                assert f <= e.gap, a.a.tolist()
+                assert _is_row(e.q, f), a.a.tolist()
 
 
 def _descent_inputs():
@@ -518,9 +548,9 @@ def _descent_inputs():
     Seeded sparse maps at n = 2..16, each with a zero row, beside denser
     ones whose trial points sometimes clamp to zero, so that the
     projection's dead-row fallback runs; the constant cyclic grid points
-    that T does not certify, (0.75, 1.25, 0.25) among them, where 183 of
-    207 steps move one or two starts; the generalized Choi maps of the
-    corpus, n = 3..8; and the CI map ``long-descent``.
+    that T does not certify, (0.75, 1.25, 0.25) among them, where the 22
+    starts leave one by one over 22 steps; the generalized Choi maps of
+    the corpus, n = 3..8; and the CI map ``long-descent``.
     """
     rng = np.random.default_rng(1)
     for n in range(2, 17):
@@ -674,12 +704,15 @@ def floor_descent(A):
         newQ = search._project_unit_nonneg(Q[run] - step[run, None] * grad[run], Q[run])
         newG, newP, newGrad = search._eliminate_p(w, newQ)
         improved = newG < G[run]
+        step[run] = search._next_step(step[run], improved, newQ - Q[run], newGrad - grad[run])
         won = run[improved]
         gain = G[won] - newG[improved]
         Q[won], P[won], grad[won] = newQ[improved], newP[improved], newGrad[improved]
         G[won] = newG[improved]
-        step[run] *= np.where(improved, _GROW, _SHRINK)
         active[won[gain < _STEP_TOLERANCE]] = False
+        reach = np.abs(search._tangent_gradient(Q[run], grad[run])).max(axis=1)
+        over = reach > 2.0 / step[run]
+        step[run[over]] = 2.0 / reach[over]
         active &= step > _STEP_FLOOR
     best = int(np.argmin(G))
     gap = positivity_gap(A, P[best], Q[best])
@@ -728,6 +761,49 @@ class TestStationarityStop:
                 found += 1
                 assert abs(cert.gap - expected) <= 1e-9 * abs(expected), raw.tolist()
         assert found >= 150
+
+
+EXTREME_ENTRIES = st.just(0.0) | st.floats(min_value=1e-50, max_value=1e50)
+
+
+class TestTwoPointStep:
+    """After an improving trial a start takes the two-point step s.s / s.y."""
+
+    @pytest.mark.parametrize("name,most", [("bias55", 200), ("ckl(0.75,1.25,0.25)", 60)])
+    def test_slow_movers_end_in_few_steps(self, monkeypatch, name, most):
+        # positive maps that T does not certify, so every start runs to its own
+        # stop: 1955 and 208 eigensolves under a step that grew by 1.25 per move
+        rows = _count_rows(monkeypatch)
+        a = validate_coefficients(dict(corpus.corpus())[name])
+        assert find_positivity_violation(a) is None
+        assert len(rows) < most
+
+    def test_rule(self):
+        step = np.array([1.0, 1.0, 1.0, 1.0, 1.0])
+        improved = np.array([True, True, True, True, False])
+        s = np.array([[0.6, 0.0], [0.01, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]])
+        y = np.array([[0.3, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        # 0.36 / 0.18 = 2; 1e-4 / 1e-2 is below half the step; no curvature grows; rejected halves
+        assert search._next_step(step, improved, s, y).tolist() == [2.0, 0.5, 1.25, 1.25, 0.5]
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_curvature_grows_the_step(self):
+        # s.y underflows to 0 or to a subnormal, where s.s / s.y would be inf or
+        # overflow; the least normal s.y still gives a finite quotient
+        s = np.array([[1e-200, 0.0], [0.5, 0.0], [0.5, 0.0]])
+        y = np.array([[1e-200, 0.0], [1e-310, 0.0], [4.5e-308, 0.0]])
+        got = search._next_step(np.ones(3), np.ones(3, dtype=bool), s, y)
+        assert got.tolist() == [1.25, 1.25, 0.25 / (0.5 * 4.5e-308)]
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(EXTREME_ENTRIES, min_size=9, max_size=9))
+    def test_no_warning_over_the_coefficient_range(self, entries):
+        # any inf, NaN or overflow in the step, its cap or the stop rule raises here
+        a = validate_coefficients(np.reshape(entries, (3, 3)))
+        cert = find_positivity_violation(a)
+        if cert is not None:
+            assert positivity_gap(a, cert.p, cert.q) < -TOL and math.isfinite(cert.residual_check)
 
 
 class TestVerifyCounterexample:
