@@ -15,9 +15,10 @@ The violation search is multi-start projected gradient descent over q,
 with the best p for each q in closed form, an n x n least eigenvector,
 and a two-point (Barzilai-Borwein) step per start.  Its starts are a
 fixed function of A: every closed-form pair seed, then 16 rows from one
-generator with a fixed seed, built once per side n.
-The final answer is the lexicographic minimum over (value, start
-index), so results are bit-identical for a given A.  The witness probe
+generator with a fixed seed, built once per side n.  It returns at the
+first evaluation whose least (value, start index) row is below
+-tolerance and confirmed by the gap evaluated directly, so results are
+bit-identical for a given A.  The witness probe
 has no starts and no randomness: it takes the closed-form optimum of its
 structured family, the root of an n x n eigenvalue in one scalar, found
 by regula falsi on a bracket that closes to adjacent floats, and
@@ -214,6 +215,20 @@ def _next_step(step: np.ndarray, improved: np.ndarray, s: np.ndarray, y: np.ndar
     return np.maximum(out, shrunk)
 
 
+def _confirmed(
+    A: CoefficientMatrix, g: np.ndarray, p: np.ndarray, q: np.ndarray, tolerance: float
+) -> ViolationCertificate | None:
+    """The certificate at the least row of g if its value and direct gap are below -tolerance."""
+    low = int(np.argmin(g))  # the first minimal row: the least start among ties
+    if g[low] >= -tolerance:
+        return None
+    gap = positivity_gap(A, p[low], q[low])
+    if gap >= -tolerance:
+        return None
+    residual = float(hermitian_eigenvalues(apply_map(A, outer_product(q[low])))[0])
+    return ViolationCertificate(p=p[low], q=q[low], gap=gap, residual_check=residual)
+
+
 def find_positivity_violation(
     A: CoefficientMatrix, tolerance: float = DEFAULT_MARGIN_BAND
 ) -> ViolationCertificate | None:
@@ -224,13 +239,13 @@ def find_positivity_violation(
     |v|^T M |v| <= v^T M v: the least gap over nonnegative unit p is
     lambda_min(M(q)), attained at p = |v|.  The descent therefore runs over
     q alone, each step solving the stacked eigenproblems of the starts
-    still moving, the only rows it carries, and by the envelope theorem
-    the gradient of lambda_min(M(q)) is the gradient of the gap in q at
-    that p.  The starts are those of _start_points; the projection clamps
-    negatives and renormalizes.
-    Returns the best certificate, unit p, q >= 0, when the gap evaluated
-    there is below -tolerance, otherwise None (which proves nothing).  A
-    tolerance that is not finite or is below criteria.MIN_TOLERANCE raises
+    still moving, the only rows it carries, in start order, and by the
+    envelope theorem the gradient of lambda_min(M(q)) is the gradient of
+    the gap in q at that p.  The starts are those of _start_points; the
+    projection clamps negatives and renormalizes.
+    Returns a certificate, unit p, q >= 0, when the gap evaluated there is
+    below -tolerance, otherwise None (which proves nothing).  A tolerance
+    that is not finite or is below criteria.MIN_TOLERANCE raises
     ValueError.
 
     Early exit.  The search first returns None when maps.decomposition_check
@@ -248,16 +263,18 @@ def find_positivity_violation(
     _tangent_gradient, which moves a unit q as far as any longer step; a
     step that is not capped can overflow.
 
-    Stopping.  A start stops when an accepted step gains less than
-    _STEP_TOLERANCE, or once step * max|g_T| <= 2^-52: its trial point is
-    then within rounding of the unit vector q, whatever the scale of the
-    coefficients.  The descent ends when every start has stopped, after
-    _MAX_ITERATIONS, or as soon as the lowest value belongs to a stopped
-    start and lies below -tolerance: that start is a certificate, and a
-    certificate needs only the sign of its gap.  Starts still moving could
-    lower the gap a little further, but they cannot undo the certificate;
-    near a degenerate minimum or saddle some of them would creep with
-    gains just above _STEP_TOLERANCE until _MAX_ITERATIONS.
+    Stopping.  A certificate needs only the sign of its gap: the search
+    returns at the first evaluation, the entry one included, whose least
+    (value, start) row is below -tolerance, once the gap evaluated there
+    directly confirms it, and checks each row before it leaves the arrays.
+    A start stops when an accepted step gains less than _STEP_TOLERANCE,
+    or once step * max|g_T| <= 2^-52: its trial point is then within
+    rounding of the unit vector q, whatever the scale of the coefficients.
+    The search returns None once every start has stopped or after
+    _MAX_ITERATIONS.  It is thus a prefix of the descent that runs to that
+    end and then checks its least (value, start) row, a row checked here
+    too: both find a certificate on the same maps, and where none is
+    found they solve the same rows.
     """
     require_tolerance(tolerance)
     if A.decomposition_verified:
@@ -266,17 +283,11 @@ def find_positivity_violation(
     q = _start_points(A)
     g, p, grad = _eliminate_p(w, q)
     step = np.full(len(q), 0.25)
-    start = np.arange(len(q))  # the rows of q, g, p, grad and step are the starts still moving
-    stopped = (math.inf, -1)  # (value, start) of the lowest stopped start, whose p, q are kept
-    p_best = q_best = None
+    found = _confirmed(A, g, p, q, tolerance)
 
     for _ in range(_MAX_ITERATIONS):
-        if not len(start):
-            break  # every start has stopped
-        if stopped[0] < -tolerance:
-            low = int(np.argmin(g))  # the first minimal row: the least start among ties
-            if stopped < (float(g[low]), int(start[low])):
-                break  # the lowest value is a converged certificate
+        if found or not len(q):
+            break  # a certificate, or every start has stopped
         newQ = _project_unit_nonneg(q - step[:, None] * grad, q)
         newG, newP, newGrad = _eliminate_p(w, newQ)
         improved = newG < g
@@ -289,6 +300,7 @@ def find_positivity_violation(
             q, p = np.where(moved, newQ, q), np.where(moved, newP, p)
             grad = np.where(moved, newGrad, grad)
             g = np.where(improved, newG, g)
+        found = _confirmed(A, g, p, q, tolerance)
         reach = np.abs(_tangent_gradient(q, grad)).max(axis=1)
         # step * reach > 2: such a step cannot move a unit q any further (a two-point
         # step can be near 2^1023, so the product could overflow)
@@ -297,22 +309,8 @@ def find_positivity_violation(
             step[over] = 2.0 / reach[over]
         going = (step * reach > _UNIT_ROUNDING) & ~settled
         if not going.all():
-            done = np.flatnonzero(~going)
-            k = done[int(np.argmin(g[done]))]
-            if (float(g[k]), int(start[k])) < stopped:
-                stopped, p_best, q_best = (float(g[k]), int(start[k])), p[k], q[k]
-            q, p, grad, g = q[going], p[going], grad[going], g[going]
-            step, start = step[going], start[going]
-
-    if len(start):  # lexicographic (value, start) over the stopped and the moving starts
-        low = int(np.argmin(g))
-        if (float(g[low]), int(start[low])) < stopped:
-            p_best, q_best = p[low], q[low]
-    gap = positivity_gap(A, p_best, q_best)
-    if gap >= -tolerance:
-        return None
-    residual = float(hermitian_eigenvalues(apply_map(A, outer_product(q_best)))[0])
-    return ViolationCertificate(p=p_best, q=q_best, gap=gap, residual_check=residual)
+            q, p, grad, g, step = q[going], p[going], grad[going], g[going], step[going]
+    return found
 
 
 def verify_counterexample(

@@ -366,9 +366,12 @@ def masked_violation_search(
     """search.find_positivity_violation as a masked loop over full arrays of every start.
 
     Each step gathers the active rows, and scatters the accepted ones
-    back; the package keeps only the moving rows instead.  Both must give
-    the same certificate bit for bit and solve the same rows in the same
-    order, so the helpers are looked up on ``search`` at each call.
+    back; the package keeps only the moving rows instead.  After each
+    evaluation the least start among the rows just evaluated is a
+    certificate once its value and its direct gap are below -tolerance.
+    Both must give the same certificate bit for bit and solve the same
+    rows in the same order, so the helpers are looked up on ``search`` at
+    each call.
     """
     require_tolerance(tolerance)
     if decomposition_check(A)[0]:
@@ -378,12 +381,17 @@ def masked_violation_search(
     G, P, grad = search._eliminate_p(w, Q)
     step = np.full(len(Q), 0.25)
     active = np.ones(len(Q), dtype=bool)
+    run = np.flatnonzero(active)  # the starts of the latest evaluation
 
-    for _ in range(search._MAX_ITERATIONS):
-        low = int(np.argmin(G))
-        if (not active[low] and G[low] < -tolerance) or not np.any(active):
-            break  # the lowest value is a converged certificate, or every start has stopped
+    for steps in range(search._MAX_ITERATIONS + 1):
+        low = run[int(np.argmin(G[run]))]  # first minimal index: the least start among ties
+        gap = search.positivity_gap(A, P[low], Q[low]) if G[low] < -tolerance else 0.0
+        if gap < -tolerance:
+            residual = float(hermitian_eigenvalues(apply_map(A, outer_product(Q[low])))[0])
+            return search.ViolationCertificate(p=P[low], q=Q[low], gap=gap, residual_check=residual)
         run = np.flatnonzero(active)
+        if steps == search._MAX_ITERATIONS or not run.size:
+            return None
         newQ = search._project_unit_nonneg(Q[run] - step[run, None] * grad[run], Q[run])
         newG, newP, newGrad = search._eliminate_p(w, newQ)
         improved = newG < G[run]
@@ -397,14 +405,6 @@ def masked_violation_search(
         over = reach > 2.0 / step[run]  # such a step cannot move a unit q any further
         step[run[over]] = 2.0 / reach[over]
         active[run] &= step[run] * reach > search._UNIT_ROUNDING
-
-    best = int(np.argmin(G))  # first minimal index: lexicographic (value, start)
-    p_best, q_best = P[best], Q[best]
-    gap = search.positivity_gap(A, p_best, q_best)
-    if gap >= -tolerance:
-        return None
-    residual = float(hermitian_eigenvalues(apply_map(A, outer_product(q_best)))[0])
-    return search.ViolationCertificate(p=p_best, q=q_best, gap=gap, residual_check=residual)
 
 
 def _numpy_slots(A: CoefficientMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
