@@ -27,7 +27,6 @@ from .maps import (
     averaged_params,
     classify_form,
     cp_check,
-    decomposition_check,
     geometric_means,
     kye_matrix,
     validate_coefficients,
@@ -54,7 +53,6 @@ from .criteria import (
 from .search import (
     CounterexampleCheck,
     PptWitnessCertificate,
-    StructuredPptState,
     ViolationCertificate,
     find_positivity_violation,
     indecomposability_probe,
@@ -78,7 +76,6 @@ __all__ = [
     "averaged_params",
     "classify_form",
     "cp_check",
-    "decomposition_check",
     "geometric_means",
     "kye_matrix",
     "validate_coefficients",
@@ -101,7 +98,6 @@ __all__ = [
     "summarize",
     "CounterexampleCheck",
     "PptWitnessCertificate",
-    "StructuredPptState",
     "ViolationCertificate",
     "find_positivity_violation",
     "indecomposability_probe",

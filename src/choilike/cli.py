@@ -30,7 +30,6 @@ from .criteria import (
     DEFAULT_MARGIN_BAND,
     ConditionReport,
     InternalInconsistencyError,
-    affirmative,
     full_report,
     require_tolerance,
     summarize,
@@ -121,8 +120,8 @@ def _violation_dict(cert: ViolationCertificate) -> dict:
 
 def _witness_dict(cert: PptWitnessCertificate) -> dict:
     return {
-        "alpha": cert.state.alpha.tolist(),
-        "r": cert.state.r.tolist(),
+        "alpha": cert.alpha.tolist(),
+        "r": cert.r.tolist(),
         "trace_value": cert.trace_value,
         "normalized_value": cert.normalized_value,
     }
@@ -263,7 +262,7 @@ def run_analysis(A: CoefficientMatrix, tolerance: float, x: np.ndarray | None = 
         witness = indecomposability_probe(A, tolerance)
         if witness is not None:
             proofs["indecomposable"].append("ppt_witness")
-    summary = summarize(proofs, affirmative(report.verdict("cp")))
+    summary = summarize(proofs)
     extra = None
     if x is not None:
         chk = verify_counterexample(A, x, tolerance)

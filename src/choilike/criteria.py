@@ -32,7 +32,6 @@ from .maps import (
     classify_form,
     cp_check,
     cyclic_cap,
-    decomposition_check,
     geometric_means,
     matches_b_only,
     matches_cyclic_bc,
@@ -347,13 +346,13 @@ def boundary_proposition(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND
     return make_verdict(d_formula, band, detail)
 
 
-def summarize(proofs: dict[str, list[str]], cp: bool) -> tuple[str, ...]:
+def summarize(proofs: dict[str, list[str]]) -> tuple[str, ...]:
     """Summary flags from the names that prove each property.
 
     ``proofs`` maps "positive", "not_positive", "decomposable" and
     "indecomposable" to the names of the criteria or certificates that
-    prove each; ``cp`` says whether complete positivity was proven (its
-    name is then among the positivity and decomposability proofs too).
+    prove each; complete positivity is proven when the row "cp" is among
+    the positivity proofs.
     A property proven together with its negation means two theorems
     disagree (a bug) and raises InternalInconsistencyError.  When
     positivity is refuted, "not_positive_proven" is the only flag;
@@ -371,7 +370,7 @@ def summarize(proofs: dict[str, list[str]], cp: bool) -> tuple[str, ...]:
         )
     if proofs["not_positive"]:
         return ("not_positive_proven",)
-    flags = ["cp_proven"] if cp else []
+    flags = ["cp_proven"] if "cp" in proofs["positive"] else []
     flags.append("positive_proven" if proofs["positive"] else "inconclusive")
     if proofs["indecomposable"]:
         flags.append("indecomposable_proven")
@@ -387,7 +386,7 @@ class ConditionReport:
     ``rows`` holds one ``(name, Verdict)`` per criterion, the same 13
     names in report order at every n.  ``proofs`` maps "positive",
     "not_positive", "decomposable" and "indecomposable" to the names of
-    the rows that prove each.  ``summary`` is ``summarize(proofs, cp)``.
+    the rows that prove each.  ``summary`` is ``summarize(proofs)``.
     """
 
     form: FormClass
@@ -468,13 +467,12 @@ def full_report(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Cond
     add("boundary_proposition", boundary_proposition(A, band), fails=("not_positive",))
 
     # an exactly verified decomposition; its failure refutes nothing
-    verified, floor = decomposition_check(A)
     structured_verdict = Verdict(
-        HOLDS if verified else FAILS,
-        floor,
+        HOLDS if A.decomposition_verified else FAILS,
+        A.structured_floor,
         "lambda_min(T), T_ii = a_ii, T_ij = -max(0, 1 - sqrt(a_ij a_ji)); "
         "holds when T decomposes the map, checked in exact rationals",
     )
     add("structured_decomposition", structured_verdict, holds=("positive", "decomposable"))
 
-    return ConditionReport(form, tuple(rows), proofs, summarize(proofs, affirmative(cp_verdict)))
+    return ConditionReport(form, tuple(rows), proofs, summarize(proofs))

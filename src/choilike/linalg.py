@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
-PSD_TOL = 1e-9
 
 
 def require_hermitian(matrix) -> np.ndarray:
@@ -46,7 +45,7 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
     return np.linalg.eigvalsh(require_hermitian(matrix))
 
 
-def is_psd(matrix, tol: float = PSD_TOL) -> tuple[bool, float]:
+def is_psd(matrix, tol: float) -> tuple[bool, float]:
     """Positive-semidefinite test: (min_eigenvalue >= -tol, min_eigenvalue)."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")

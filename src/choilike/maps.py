@@ -48,11 +48,6 @@ class CoefficientMatrix:
     n: int
     a: np.ndarray
 
-    @property
-    def a_diag(self) -> np.ndarray:
-        """Diagonal entries (a_1, ..., a_n)."""
-        return np.diag(self.a).copy()
-
     @functools.cached_property
     def slots(self) -> tuple[tuple[float, float, float], ...]:
         """((a_1, a_2, a_3), (b_1, b_2, b_3), (c_1, c_2, c_3)) as floats, read once; n = 3 only."""
@@ -86,7 +81,18 @@ class CoefficientMatrix:
 
     @functools.cached_property
     def decomposition_verified(self) -> bool:
-        """The verdict of decomposition_check, computed once."""
+        """Exactly verified decomposability, computed once; False proves nothing.
+
+        Twirling by diagonal unitaries reduces C = P + Q^Gamma (C the block
+        matrix, P, Q >= 0) to an n x n M >= 0 with M_ii = a_ii and
+        (1 + M_ij)^2 <= a_ij a_ji: P is M on the |ii> positions and Q is the
+        2 x 2 blocks [[a_ki, -(1 + M_ik)], [-(1 + M_ik), a_ik]] on
+        {|ik>, |ki>}.  T is such an M whenever it is positive semidefinite, so
+        lambda_min(T) >= 0 proves Phi_A decomposable and hence positive.  A
+        clearly negative structured_floor returns False at once; otherwise T
+        is moved into the box by _box_certificate and its positivity is
+        decided exactly by _rational_psd.
+        """
         if self.structured_floor < -structured_rounding(self):
             return False
         m = _box_certificate(self, self.structured)
@@ -201,7 +207,7 @@ def cp_check(A: CoefficientMatrix) -> float:
     0), and int true division rounds the slack correctly.
     """
     num, den = 0, 1
-    for a in A.a_diag.tolist():
+    for a in A.a.diagonal().tolist():
         p, q = a.as_integer_ratio()
         num, den = num * (q + p) + q * den, den * (q + p)
     return (den - num) / den
@@ -288,23 +294,6 @@ def _rational_psd(m: np.ndarray) -> bool:
                 row[j] = (d * row[j] - f * w[j][k]) // prev
         prev = d
     return True
-
-
-def decomposition_check(A: CoefficientMatrix) -> tuple[bool, float]:
-    """Exactly verified decomposability: (certificate checked, lambda_min(T)).
-
-    Twirling by diagonal unitaries reduces C = P + Q^Gamma (C the block
-    matrix, P, Q >= 0) to an n x n M >= 0 with M_ii = a_ii and
-    (1 + M_ij)^2 <= a_ij a_ji: P is M on the |ii> positions and Q is the
-    2 x 2 blocks [[a_ki, -(1 + M_ik)], [-(1 + M_ik), a_ik]] on
-    {|ik>, |ki>}.  T of structured_matrix is such an M whenever it is
-    positive semidefinite, so lambda_min(T) >= 0 proves Phi_A decomposable
-    and hence positive.  A clearly negative lambda_min(T) returns False
-    at once; otherwise T is moved into the box by _box_certificate and its
-    positivity is decided exactly by _rational_psd.  False proves nothing.
-    Both values are cached on A, so each is computed once per matrix.
-    """
-    return A.decomposition_verified, A.structured_floor
 
 
 def averaged_params(A: CoefficientMatrix) -> CklParams:

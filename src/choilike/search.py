@@ -71,22 +71,18 @@ class ViolationCertificate:
 
 
 @dataclass(frozen=True)
-class StructuredPptState:
-    """Diagonal profile alpha plus cross terms r between (i,i) and (j,j).
+class PptWitnessCertificate:
+    """A PPT state: diagonal profile alpha plus cross terms r between (i,i) and (j,j).
 
     alpha[i][k] is the k-th diagonal entry of diagonal block i; r is
     strictly upper triangular with r[i][j]^2 bounded by both
     alpha[i][i]*alpha[j][j] (positivity) and alpha[i][j]*alpha[j][i]
-    (positivity of the blockwise transpose).
+    (positivity of the blockwise transpose).  trace_value is its pairing
+    Tr(rho C) with the block matrix C, and normalized_value that over Tr(rho).
     """
 
     alpha: np.ndarray
     r: np.ndarray
-
-
-@dataclass(frozen=True)
-class PptWitnessCertificate:
-    state: StructuredPptState
     trace_value: float
     normalized_value: float
 
@@ -248,8 +244,8 @@ def find_positivity_violation(
     that is not finite or is below criteria.MIN_TOLERANCE raises
     ValueError.
 
-    Early exit.  The search first returns None when maps.decomposition_check
-    verifies a decomposition of the map exactly, a verdict cached on A.  A
+    Early exit.  The search first returns None when
+    A.decomposition_verified, the exact check cached on A, holds.  A
     decomposable map is positive, so the gap is nonnegative at every (p, q)
     and the full descent would end with a gap that is nonnegative up to its
     rounding, above -tolerance, and return None too.  Only this exactly
@@ -513,7 +509,8 @@ def indecomposability_probe(
             f"witness verification failed: min eigenvalues {rho_min!r}, {gamma_min!r}"
         )
     return PptWitnessCertificate(
-        state=StructuredPptState(alpha=alpha, r=r),
+        alpha=alpha,
+        r=r,
         trace_value=trace_value,
         normalized_value=trace_value / float(np.sum(alpha)),
     )

@@ -45,7 +45,6 @@ from choilike.maps import (
     CoefficientMatrix,
     FormClass,
     apply_map,
-    decomposition_check,
     validate_coefficients,
 )
 from choilike.search import _as_vector
@@ -374,7 +373,7 @@ def masked_violation_search(
     each call.
     """
     require_tolerance(tolerance)
-    if decomposition_check(A)[0]:
+    if A.decomposition_verified:
         return None
     w = A.a + np.eye(A.n)
     Q = search._start_points(A)

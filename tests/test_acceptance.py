@@ -84,12 +84,12 @@ def test_acceptance_1_counterexample_reproduction():
     with _Timer(1, "counterexample reproduction (det = -1, violation found)", 1.0):
         zeta = np.array([2 ** (1 / 3), 2 ** (-1 / 6), 2 ** (-1 / 6)])
         x = outer_product(zeta)
-        flag, _ = is_psd(x)
+        flag, _ = is_psd(x, tol=1e-9)
         assert flag, "rank-one input must be positive semidefinite"
         image = apply_map(COUNTEREXAMPLE, x)
         det = determinant(image)
         assert abs(det + 1.0) < 1e-9
-        image_flag, _ = is_psd(image)
+        image_flag, _ = is_psd(image, tol=1e-9)
         assert not image_flag
         cert = find_positivity_violation(COUNTEREXAMPLE)
         assert cert is not None and cert.gap < -1e-9
@@ -132,7 +132,7 @@ def test_acceptance_3_choi_indecomposability_witness():
         cert = indecomposability_probe(CHOI)
         assert cert is not None
         assert cert.normalized_value <= -1 / 7 + 1e-6
-        rho = assemble_structured_state(cert.state.alpha, cert.state.r)
+        rho = assemble_structured_state(cert.alpha, cert.r)
         assert is_psd(rho, tol=1e-9)[0]
         assert is_psd(partial_transpose(rho, 3), tol=1e-9)[0]
         direct = float(np.trace(rho @ choi_matrix(CHOI)).real)

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import dataclasses
 import json
 import math
 import os
@@ -111,6 +112,14 @@ class TestAnalyze:
         assert is_psd(partial_transpose(rho, a.n), tol=1e-9)[0]
         replayed = float(np.trace(rho @ choi_matrix(a)).real)
         assert abs(replayed - w["trace_value"]) < 1e-10
+
+    def test_witness_fields_are_the_report_keys_in_order(self):
+        keys = ["alpha", "r", "trace_value", "normalized_value"]
+        assert [f.name for f in dataclasses.fields(search.PptWitnessCertificate)] == keys
+        cert = search.indecomposability_probe(validate_coefficients(CHOI["A"]))
+        witness = cli._witness_dict(cert)
+        assert list(witness) == keys
+        assert witness["alpha"] == cert.alpha.tolist() and witness["r"] == cert.r.tolist()
 
     def test_near_boundary_at_wide_tol(self, tmp_path, capsys):
         # a* + b = 2.0005 lies inside a 1e-3 band but off the a* + b = 2

@@ -667,23 +667,27 @@ class TestConditionTable:
     def test_proofs_and_summary_pinned(self, a, proofs, summary):
         r = full_report(a)
         assert r.proofs == proofs
-        assert r.summary == summary == summarize(proofs, affirmative(r.verdict("cp")))
+        assert r.summary == summary == summarize(proofs)
+        # complete positivity is proven exactly when the cp row proves positivity
+        assert ("cp" in r.proofs["positive"]) == affirmative(r.verdict("cp"))
 
     @pytest.mark.parametrize(
-        "proofs, cp, summary",
+        "proofs, summary",
         [
-            (no_proofs(), False, ("inconclusive",)),
-            (no_proofs(indecomposable=["ppt_witness"]), False,
-             ("inconclusive", "indecomposable_proven")),
-            (no_proofs(positive=["cp"], decomposable=["cp"]), True,
+            (no_proofs(), ("inconclusive",)),
+            (no_proofs(indecomposable=["ppt_witness"]), ("inconclusive", "indecomposable_proven")),
+            (no_proofs(positive=["cp"], decomposable=["cp"]),
              ("cp_proven", "positive_proven", "decomposable_proven")),
-            (no_proofs(positive=["kye"], indecomposable=["kye", "ppt_witness"]), False,
+            (no_proofs(positive=["kye"], indecomposable=["kye", "ppt_witness"]),
              ("positive_proven", "indecomposable_proven")),
-            (no_proofs(not_positive=["violation_certificate"]), False, ("not_positive_proven",)),
+            (no_proofs(not_positive=["violation_certificate"]), ("not_positive_proven",)),
+            # positive and decomposable, but the cp row proves neither: no cp_proven
+            (no_proofs(positive=["pairwise_sufficient"], decomposable=["pairwise_sufficient"]),
+             ("positive_proven", "decomposable_proven")),
         ],
     )
-    def test_summarize_flag_order(self, proofs, cp, summary):
-        assert summarize(proofs, cp) == summary
+    def test_summarize_flag_order(self, proofs, summary):
+        assert summarize(proofs) == summary
 
     @pytest.mark.parametrize(
         "proofs, message",
@@ -714,5 +718,5 @@ class TestConditionTable:
     )
     def test_summarize_raises_on_contradiction(self, proofs, message):
         with pytest.raises(InternalInconsistencyError) as exc:
-            summarize(proofs, cp=False)
+            summarize(proofs)
         assert str(exc.value) == message

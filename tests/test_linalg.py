@@ -75,19 +75,21 @@ def test_non_hermitian_rejected():
 
 def test_is_psd_cases():
     assert is_psd(np.zeros((3, 3)), tol=1e-9) == (True, 0.0)
-    flag, mineig = is_psd(np.array([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], dtype=float))
+    flag, mineig = is_psd(np.array([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], dtype=float), tol=1e-9)
     assert flag and abs(mineig) < 1e-12
-    flag, mineig = is_psd(np.array([[1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float))
+    flag, mineig = is_psd(np.array([[1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float), tol=1e-9)
     assert not flag and abs(mineig + 1.0) < 1e-12
     with pytest.raises(ValueError):
         is_psd(np.eye(2), tol=-1.0)
+    with pytest.raises(TypeError):  # the tolerance has no default: each caller states its band
+        is_psd(np.eye(2))
 
 
 def test_psd_of_rank_one_projectors():
     rng = np.random.default_rng(12)
     for _ in range(20):
         zeta = rng.normal(size=4) + 1j * rng.normal(size=4)
-        flag, _ = is_psd(outer_product(zeta))
+        flag, _ = is_psd(outer_product(zeta), tol=1e-9)
         assert flag
 
 

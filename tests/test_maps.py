@@ -18,7 +18,6 @@ from choilike.maps import (
     averaged_params,
     classify_form,
     cp_check,
-    decomposition_check,
     geometric_means,
     kye_matrix,
     KyeParams,
@@ -124,7 +123,7 @@ class TestValidation:
 
     def test_named_entry_convention(self):
         a = validate_coefficients(COUNTEREXAMPLE)
-        assert np.array_equal(a.a_diag, [0.5, 1.0, 2.0])
+        assert np.array_equal(a.a.diagonal(), [0.5, 1.0, 2.0])
         assert a.slots == ((0.5, 1.0, 2.0), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
         assert all(type(v) is float for s in a.slots for v in s)
         with pytest.raises(ValueError, match="n = 3 only"):
@@ -304,7 +303,7 @@ class TestDecompositionCheck:
         for abc in _ckl_grid():
             a_val, b, c = abc
             a = constant_ckl_matrix(CklParams(*abc))
-            verified, floor = decomposition_check(a)
+            verified, floor = a.decomposition_verified, a.structured_floor
             assert floor == pytest.approx(a_val - 2 * max(0.0, 1 - np.sqrt(b * c)), abs=1e-12)
             if verified:
                 passed += 1
@@ -324,7 +323,7 @@ class TestDecompositionCheck:
             raw = rng.random((n, n)) * rng.choice([1.0, 2.0]) * (rng.random((n, n)) > 0.1)
             np.fill_diagonal(raw, rng.uniform(0.0, n - 1, n))
             a = validate_coefficients(raw)
-            verified, floor = decomposition_check(a)
+            verified, floor = a.decomposition_verified, a.structured_floor
             assert verified == (floor >= 0), (raw.tolist(), floor)  # no near-singular draws
             if verified:
                 passed += 1
@@ -334,7 +333,7 @@ class TestDecompositionCheck:
     @pytest.mark.parametrize("raw", [m[1] for m in BOUNDARY_MAPS], ids=[m[0] for m in BOUNDARY_MAPS])
     def test_exact_boundary_points(self, raw, monkeypatch):
         a = validate_coefficients(raw)
-        assert decomposition_check(a)[0]
+        assert a.decomposition_verified
         m = _certificate(a)
         assert np.array_equal(m, structured_matrix(a.a))  # already inside the box
         assert _rational_psd(m)
@@ -343,7 +342,7 @@ class TestDecompositionCheck:
         mutated = np.where(off, m * (1 + 2.0**-40), m)
         assert not _rational_psd(mutated)
         monkeypatch.setattr(maps, "structured_matrix", lambda _: mutated)
-        assert not decomposition_check(validate_coefficients(raw))[0]  # a keeps its cached verdict
+        assert not validate_coefficients(raw).decomposition_verified  # a keeps its cached verdict
 
     def test_box_steps_repair_rounded_entries(self):
         # 1 - fl(1 - fl(sqrt(fl(0.01 * 0.01)))) exceeds the exact sqrt, so 1 + T_12
@@ -355,7 +354,7 @@ class TestDecompositionCheck:
         m = _certificate(a)
         assert (1 + Fraction(float(m[0, 1]))) ** 2 <= box
         assert m[0, 1] == np.nextafter(t[0, 1], -1.0)
-        assert decomposition_check(a)[0]
+        assert a.decomposition_verified
 
     def test_second_pass_tests_only_the_moved_pairs(self, monkeypatch):
         # only 1 + T_12 = 1 - fl(1 - fl(sqrt(0.01 * 0.01))) starts outside the box;
@@ -384,8 +383,9 @@ class TestDecompositionCheck:
     def test_clearly_indefinite_t_does_no_rational_work(self, abc, floor, monkeypatch):
         # the Choi map, and lambda_min(T) = a - 2 (1 - sqrt(bc)) just below 0
         monkeypatch.setattr(maps, "_box_certificate", None)  # a call would raise
-        verified, got = decomposition_check(constant_ckl_matrix(CklParams(*abc)))
-        assert not verified and got == pytest.approx(floor, abs=1e-12)
+        a = constant_ckl_matrix(CklParams(*abc))
+        assert not a.decomposition_verified
+        assert a.structured_floor == pytest.approx(floor, abs=1e-12)
 
 
 def fraction_box_certificate(A, t):
@@ -430,7 +430,7 @@ def fraction_psd(m):
 
 def fraction_cp_slack(A):
     """Reference for maps.cp_check: the slack summed in Fraction."""
-    return float(1 - sum(1 / (1 + Fraction(float(a))) for a in A.a_diag))
+    return float(1 - sum(1 / (1 + Fraction(float(a))) for a in A.a.diagonal()))
 
 
 def _nudged(raw):

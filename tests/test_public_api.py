@@ -52,7 +52,6 @@ def test_public_names_are_pinned():
         "InternalInconsistencyError",
         "KyeParams",
         "PptWitnessCertificate",
-        "StructuredPptState",
         "Verdict",
         "ViolationCertificate",
         "__version__",
@@ -68,7 +67,6 @@ def test_public_names_are_pinned():
         "classify_form",
         "cp_check",
         "cyclic_necessary",
-        "decomposition_check",
         "determinant",
         "find_positivity_violation",
         "full_report",

@@ -21,7 +21,6 @@ from choilike.maps import (
     CoefficientMatrix,
     KyeParams,
     apply_map,
-    decomposition_check,
     kye_matrix,
     structured_matrix,
     structured_rounding,
@@ -31,7 +30,6 @@ from choilike.search import (
     _MAX_ITERATIONS,
     _STEP_TOLERANCE,
     PptWitnessCertificate,
-    StructuredPptState,
     _structured_root,
     _witness_check,
     find_positivity_violation,
@@ -174,7 +172,8 @@ def descent_probe(A, seed):
         return None
     total = float(np.trace(rho).real)
     return PptWitnessCertificate(
-        state=StructuredPptState(alpha=alpha, r=r),
+        alpha=alpha,
+        r=r,
         trace_value=trace_value,
         normalized_value=trace_value / total,
     )
@@ -420,7 +419,7 @@ class TestCertifiedExit:
             raw = rng.random((n, n)) * 1.5
             np.fill_diagonal(raw, rng.uniform(0.3, n - 1, n))
             a = validate_coefficients(raw)
-            if decomposition_check(a)[0]:
+            if a.decomposition_verified:
                 maps.append(a)
         # a property outranks the verdict each map has cached
         monkeypatch.setattr(CoefficientMatrix, "decomposition_verified", property(lambda _: False))
@@ -429,13 +428,13 @@ class TestCertifiedExit:
 
     def test_certified_map_runs_no_iteration(self, monkeypatch):
         monkeypatch.setattr(search, "_project_unit_nonneg", None)  # a call would raise
-        assert decomposition_check(ALL_ONES)[0]
+        assert ALL_ONES.decomposition_verified
         assert find_positivity_violation(ALL_ONES) is None
 
     def test_choi_map_still_searches(self, monkeypatch):
         # positive, but T = 2 I - J is indefinite, so no certificate ends the search
         calls = _count_projections(monkeypatch)
-        assert not decomposition_check(CHOI)[0]
+        assert not CHOI.decomposition_verified
         assert find_positivity_violation(CHOI) is None
         assert len(calls) > 0
 
@@ -477,7 +476,7 @@ def full_descent(A):
     final (value, start) is below -TOL, the verdict of a search that
     returns only at the end.
     """
-    if decomposition_check(A)[0]:
+    if A.decomposition_verified:
         return None, False
     w = A.a + np.eye(A.n)
     Q = search._start_points(A)
@@ -609,7 +608,7 @@ def _descent_inputs():
         np.fill_diagonal(raw, rng.uniform(0.3, n - 1, n))
         yield f"dense{n}", raw
     for name, raw in corpus._ckl_grid():
-        if not decomposition_check(validate_coefficients(raw))[0]:
+        if not validate_coefficients(raw).decomposition_verified:
             yield name, raw
     yield from corpus._gchoi()
     yield "long-descent", np.array([[0, 1, 1e-13], [0, 0, 1e-13], [1, 0, 0]])
@@ -725,7 +724,7 @@ class TestExactP:
         # positive and not certified by T, so no early exit or early stop
         # applies: every start must converge by its own stop rule
         a = validate_coefficients(_generalized_choi(n))
-        assert not decomposition_check(a)[0]
+        assert not a.decomposition_verified
         calls = _count_projections(monkeypatch)
         rows = _count_rows(monkeypatch)
         assert find_positivity_violation(a) is None
@@ -744,7 +743,7 @@ def floor_descent(A):
     little that step still moves q.  Returns the direct gap at the first
     evaluation whose least (value, start) row crosses below -TOL, or None.
     """
-    if decomposition_check(A)[0]:
+    if A.decomposition_verified:
         return None
     w = A.a + np.eye(A.n)
     Q = search._start_points(A)
@@ -875,7 +874,7 @@ class TestVerifyCounterexample:
 
     def test_uniform_projector(self):
         check = verify_counterexample(CHOI, outer_product(np.ones(3)))
-        flag, _ = is_psd(check.image)
+        flag, _ = is_psd(check.image, tol=1e-9)
         assert check.psd == flag
 
 
@@ -965,8 +964,8 @@ class TestStructuredValue:
         assert np.allclose(r[np.triu_indices(3, 1)], 1.0, atol=1e-15)
         trace_val = float(np.trace(rho @ choi_matrix(CHOI)).real)
         assert abs(trace_val + 2.25) < 1e-10
-        assert is_psd(rho)[0]
-        assert is_psd(partial_transpose(rho, 3))[0]
+        assert is_psd(rho, tol=1e-9)[0]
+        assert is_psd(partial_transpose(rho, 3), tol=1e-9)[0]
 
     def test_matches_assembled_trace_on_random_profiles(self):
         # the closed form quoted by CoefficientMatrix.structured_floor: the diagonal
@@ -1041,7 +1040,7 @@ class TestIndecomposabilityProbe:
         cert = indecomposability_probe(CHOI)
         assert cert is not None
         assert cert.normalized_value <= -1 / 7 + 1e-6
-        rho = assemble_structured_state(cert.state.alpha, cert.state.r)
+        rho = assemble_structured_state(cert.alpha, cert.r)
         assert is_psd(rho, tol=1e-9)[0]
         assert is_psd(partial_transpose(rho, 3), tol=1e-9)[0]
         direct = float(np.trace(rho @ choi_matrix(CHOI)).real)
@@ -1050,7 +1049,7 @@ class TestIndecomposabilityProbe:
 
     def test_cross_term_caps(self):
         cert = indecomposability_probe(CHOI)
-        alpha, r = cert.state.alpha, cert.state.r
+        alpha, r = cert.alpha, cert.r
         for i in range(3):
             for j in range(i + 1, 3):
                 assert r[i, j] ** 2 <= alpha[i, i] * alpha[j, j] + 1e-12
@@ -1076,7 +1075,7 @@ class TestIndecomposabilityProbe:
         c1 = indecomposability_probe(CHOI)
         c2 = indecomposability_probe(CHOI)
         assert c1.trace_value == c2.trace_value
-        assert np.array_equal(c1.state.alpha, c2.state.alpha)
+        assert np.array_equal(c1.alpha, c2.alpha)
 
 
 
@@ -1244,7 +1243,7 @@ class TestStructuredFloor:
 
 def _verified(a, cert):
     """The witness state is PSD with a PSD partial transpose and pairs below -1e-9."""
-    rho = assemble_structured_state(cert.state.alpha, cert.state.r)
+    rho = assemble_structured_state(cert.alpha, cert.r)
     assert np.linalg.eigvalsh(rho)[0] >= -1e-12
     assert np.linalg.eigvalsh(partial_transpose(rho, a.n))[0] >= -1e-12
     direct = float(np.trace(rho @ choi_matrix(a)).real)
@@ -1336,7 +1335,7 @@ class TestClosedFormOptimum:
             if cert is None:
                 continue
             assert cert.normalized_value >= lam - 1e-12
-            if np.count_nonzero(np.diag(cert.state.alpha)) == n:
+            if np.count_nonzero(np.diag(cert.alpha)) == n:
                 attained += 1
                 assert cert.normalized_value == pytest.approx(lam, abs=1e-12)
         assert attained >= 20
@@ -1380,7 +1379,7 @@ class TestClosedFormOptimum:
         assert drop == 4
         cert = indecomposability_probe(PRUNED)
         _verified(PRUNED, cert)
-        assert not cert.state.alpha[4].any() and not cert.state.alpha[:, 4].any()
+        assert not cert.alpha[4].any() and not cert.alpha[:, 4].any()
         # descent_probe reaches only -0.0106 here
         assert cert.normalized_value == pytest.approx(-0.1137738344464334, abs=1e-12)
 
@@ -1389,7 +1388,7 @@ class TestClosedFormOptimum:
     )
     def test_cross_terms_need_no_shrink(self, raw):
         cert = indecomposability_probe(validate_coefficients(raw))
-        assert psd_feasible_cross_terms(cert.state.alpha, cert.state.r)[1] == 1.0
+        assert psd_feasible_cross_terms(cert.alpha, cert.r)[1] == 1.0
 
     def test_no_negative_root(self):
         # lambda_min(T) = 1e-13 passes the entry check only because the rounding
@@ -1421,7 +1420,7 @@ class TestBlockCheck:
     def test_witness_maps(self, raw):
         a = validate_coefficients(raw)
         cert = indecomposability_probe(a)
-        alpha, r = cert.state.alpha, cert.state.r
+        alpha, r = cert.alpha, cert.r
         full_side = _full_side_checks(a, alpha, r)
         assert _witness_check(a, alpha, r) == pytest.approx(full_side, abs=1e-12)
         assert cert.trace_value == pytest.approx(full_side[0], abs=1e-12)
