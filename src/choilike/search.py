@@ -18,12 +18,12 @@ fixed function of A: every closed-form pair seed, then 16 rows from one
 generator with a fixed seed, built once per side n.  It returns at the
 first evaluation whose least (value, start index) row is below
 -tolerance and confirmed by the gap evaluated directly, so results are
-bit-identical for a given A.  The witness probe
-has no starts and no randomness: it takes the closed-form optimum of its
-structured family, the root of an n x n eigenvalue in one scalar, found
-by regula falsi on a bracket that closes to adjacent floats, and
-verifies the witness on the n x n and 2 x 2 blocks into which the state
-and its partial transpose split, without building a matrix of side n^2.
+bit-identical for a given A.  The witness probe has no starts and no
+randomness: it takes the closed-form optimum of its structured family,
+the root of an n x n eigenvalue in one scalar, found by regula falsi up
+to the rounding of that eigenvalue, and verifies the witness on the
+n x n and 2 x 2 blocks into which the state and its partial transpose
+split, without building a matrix of side n^2.
 Absence of a certificate proves nothing.
 """
 
@@ -363,6 +363,15 @@ def psd_feasible_cross_terms(alpha: np.ndarray, r: np.ndarray) -> tuple[np.ndarr
     return t * r, t
 
 
+@functools.cache  # one read-only pair per side n
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1): the row and column indices of the pairs i < j, row-major."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def _witness_check(
     A: CoefficientMatrix, alpha: np.ndarray, r: np.ndarray
 ) -> tuple[float, float, float]:
@@ -380,7 +389,7 @@ def _witness_check(
     difference (alpha_ij + alpha_ji)/2 - hypot(...) would cancel when
     alpha_ij is far above r_ij.
     """
-    i, j = np.triu_indices(A.n, 1)
+    i, j = _upper_pairs(A.n)
     upper, lower, cross = alpha[i, j], alpha[j, i], r[i, j]
     pairing = math.fsum(np.concatenate([(A.a.T * alpha).ravel(), -2.0 * cross]))
     y = np.diag(np.diag(alpha))
@@ -393,40 +402,57 @@ def _witness_check(
 
 
 def _structured_root(a: np.ndarray, floor: float) -> float:
-    """The end hi of a bracket [lo, hi] of adjacent floats in [floor, 0] with lambda_min(T_hi) < 0.
+    """The first trial hi in (floor, 0) with lambda_min(T_hi) < 0 within its rounding.
 
     T_lam = structured_matrix(a - lam) is the matrix T of the entries
     a_ij - lam.  Every entry of T_lam falls as lam grows, and its diagonal
     with slope -1, so lambda_min(T_lam) falls with slope at most -1: from
     floor < 0 at lam = 0 it is at least 0 at lam = floor, and its root
-    lies between.  The bracket keeps lambda_min(T_hi) < 0 and
-    lambda_min(T_lo) >= 0, or lo = floor not yet evaluated, and ends when
-    its midpoint falls on an end.  The first trial is the midpoint, so
-    floor itself is never evaluated: within the rounding allowance of the
-    entry check it can exceed 0, where a zero a_ij makes a product
-    (a_ij - lam)(a_ji - lam) negative under its square root.  Each later
-    trial is the regula falsi point of the two ends, kept one float
-    inside the bracket; the value at an end kept twice in a row is
-    halved (the Illinois rule), so both ends close in on the root.  While
-    lambda_min(T_lo) = 0 that point is lo itself, so the midpoint is tried.
+    lam* lies between.  A trial hi with -rounding <= lambda_min(T_hi) < 0,
+    rounding = n 2^-52 ||T_hi||_2 (eigvalsh is backward stable), ends the
+    search, and by the slope lam* <= hi <= lam* + rounding.  ||T_hi||_2 is
+    the largest |eigenvalue| of T_hi; near the root it can be far below the
+    entries of A.
+
+    The bracket [lo, hi] keeps lambda_min(T_hi) < 0 and
+    lambda_min(T_lo) >= 0, or lo = floor not yet evaluated.  The first
+    trial is the midpoint, so floor itself is never evaluated: within the
+    rounding allowance of the entry check it can exceed 0, where a zero
+    a_ij makes a product (a_ij - lam)(a_ji - lam) negative under its
+    square root.  Each later trial is the regula falsi point, kept one
+    float inside the bracket, of lambda_min(T_lam) plus half its rounding
+    at the two ends: it aims at the middle of the band that ends the
+    search, and moves off an lo where lambda_min is exactly 0.  The value
+    at an end kept twice in a row is halved (the Illinois rule).  A trial
+    that moves lo but not lambda_min(T_lo), as where T_lam rounds to the
+    same floats, tells nothing of the slope: the midpoint comes next.  If
+    the bracket closes to adjacent floats first, hi is returned, 0.0 when
+    no trial was negative.
     """
+    n = a.shape[0]
     lo, hi = floor, 0.0
-    f_lo, f_hi = None, floor  # lambda_min(T_0) = floor
+    f_lo = g_lo = None  # lambda_min(T_lo), and that plus half its rounding
+    g_hi = floor  # lambda_min(T_0) = floor
     kept = 0  # +1 after hi moved, -1 after lo moved
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        f = float(np.linalg.eigvalsh(structured_matrix(a - mid))[0])
+        eigenvalues = np.linalg.eigvalsh(structured_matrix(a - mid))
+        f = float(eigenvalues[0])
+        rounding = n * _UNIT_ROUNDING * max(-f, float(eigenvalues[-1]))  # n 2^-52 ||T_lam||_2
         if f < 0.0:
-            if kept > 0 and f_lo is not None:
-                f_lo *= 0.5
-            hi, f_hi, kept = mid, f, 1
+            if f >= -rounding:
+                return mid
+            if kept > 0 and g_lo is not None:
+                g_lo *= 0.5
+            hi, g_hi, kept, learned = mid, f + 0.5 * rounding, 1, True
         else:
             if kept < 0:
-                f_hi *= 0.5
-            lo, f_lo, kept = mid, f, -1
+                g_hi *= 0.5
+            learned = f != f_lo
+            lo, f_lo, g_lo, kept = mid, f, f + 0.5 * rounding, -1
         mid = 0.5 * (lo + hi)
-        if f_lo and lo < mid < hi:  # neither None nor 0.0
-            guess = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        if learned and g_lo is not None and lo < mid < hi:
+            guess = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
             mid = min(max(guess, math.nextafter(lo, hi)), math.nextafter(hi, lo))
     return hi
 

@@ -6,12 +6,14 @@ against the textbook objects: the block (Choi) matrix and its partial
 transpose, the shift average, the rescaled constant maps with their
 dominance certificate, the sum-of-squares split of the positivity gap,
 the per-pair bounds that the pairwise rows take the least of, and the
-paper's witness vectors.  It also keeps earlier forms of four hot
+paper's witness vectors.  It also keeps earlier forms of five hot
 paths: the violation descent with masks over every start, the n = 3
 slot reads and the coefficient checks as numpy calls, which the faster
-forms in the package must match bit for bit, and the pair seeds as a
-loop, which they match up to the rounding of each seed's norm.  Test
-files import this module as ``oracles``.
+forms in the package must match bit for bit, the pair seeds as a loop,
+which they match up to the rounding of each seed's norm, and the witness
+probe's root closed to adjacent floats, which the package's root must
+match to within the rounding of lambda_min(T_lam).  Test files import
+this module as ``oracles``.
 
 Block conventions are those of ``choilike.linalg``: a matrix of side n^2
 is an n x n grid of n x n blocks, with row index i * n + k addressing
@@ -45,6 +47,7 @@ from choilike.maps import (
     CoefficientMatrix,
     FormClass,
     apply_map,
+    structured_matrix,
     validate_coefficients,
 )
 from choilike.search import _as_vector
@@ -357,6 +360,35 @@ def loop_pair_seeds(A: CoefficientMatrix) -> np.ndarray:
             q[i] = (a[i, j] * a[j, j] / (a[j, i] * a[i, i])) ** 0.25
             seeds.append(q / np.linalg.norm(q))
     return np.reshape(seeds, (-1, n))
+
+
+def adjacent_float_root(a: np.ndarray, floor: float) -> float:
+    """search._structured_root run until its bracket [lo, hi] is two adjacent floats.
+
+    The same Illinois regula falsi on lambda_min(T_lam) itself, with the
+    midpoint first and while lambda_min(T_lo) = 0; it returns the end hi,
+    where lambda_min(T_hi) < 0 and the float below is floor or has
+    lambda_min >= 0.
+    """
+    lo, hi = floor, 0.0
+    f_lo, f_hi = None, floor  # lambda_min(T_0) = floor
+    kept = 0  # +1 after hi moved, -1 after lo moved
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        f = float(np.linalg.eigvalsh(structured_matrix(a - mid))[0])
+        if f < 0.0:
+            if kept > 0 and f_lo is not None:
+                f_lo *= 0.5
+            hi, f_hi, kept = mid, f, 1
+        else:
+            if kept < 0:
+                f_hi *= 0.5
+            lo, f_lo, kept = mid, f, -1
+        mid = 0.5 * (lo + hi)
+        if f_lo and lo < mid < hi:  # neither None nor 0.0
+            guess = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+            mid = min(max(guess, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+    return hi
 
 
 def masked_violation_search(

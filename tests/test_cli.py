@@ -248,6 +248,23 @@ class TestTinyBesideHugeSlots:
         doc = json.loads(out)
         assert doc["summary"] == ["inconclusive"] and "ppt_witness" not in doc
 
+    @pytest.mark.parametrize("big,solves", [(1e40, 111), (1e50, 148)])
+    def test_root_with_no_negative_value_is_bounded(
+        self, tmp_path, capsys, monkeypatch, big, solves
+    ):
+        # the eigensolves of one probe, the entry floor included: midpoints cross the run
+        # of lam where every entry of T_lam rounds to the same floats
+        path = write(tmp_path, {"A": [[1, 0, 1e8], [big, 1, 1], [1, 0, 1]]})
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counting(m, *args, **kwargs):
+            calls.append(1)
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        code, doc = run_json(capsys, "probe", "-i", path)
+        assert code == 0 and "ppt_witness" not in doc and len(calls) == solves
+
 
 # slot values of the constant patterns below: zero, tiny, order one and huge
 NEAR_PATTERN_SLOTS = np.array([0.0, 1e-13, 1e-12, 0.25, 0.5, 1.0, 2.0, 1e12, 1e13])

@@ -41,6 +41,7 @@ from choilike.search import (
 )
 import corpus
 from oracles import (
+    adjacent_float_root,
     assemble_structured_state,
     block_positivity_value,
     choi_matrix,
@@ -1340,13 +1341,14 @@ class TestClosedFormOptimum:
                 assert cert.normalized_value == pytest.approx(lam, abs=1e-12)
         assert attained >= 20
 
-    def test_root_brackets_to_adjacent_floats(self, monkeypatch):
-        # lambda_min(T_hi) < 0 at the returned end and >= 0 one float below it, unless
-        # that float is floor; a regula falsi root takes far fewer eigensolves than the
-        # 55 or so of a bisection to adjacent floats
+    def test_root_ends_within_rounding(self, monkeypatch):
+        # lambda_min(T_hi) < 0 at the returned trial, and at most its rounding below 0,
+        # so hi is within that rounding of the root that oracles.adjacent_float_root
+        # closes to adjacent floats; a generalized Choi root takes at most 10 eigensolves,
+        # gchoi3(d=1.375) too, where lambda_min(T_lo) can evaluate to exactly 0
         rng = np.random.default_rng(21)
-        maps = [(n, _generalized_choi(n)) for n in range(3, 9)]
-        while len(maps) < 56:
+        maps = corpus._gchoi()
+        while len(maps) < 86:
             n = int(rng.integers(2, 9))
             a = rng.random((n, n)) * 1.5 * (rng.random((n, n)) > 0.2)
             if validate_coefficients(a).structured_floor < 0.0:
@@ -1358,20 +1360,36 @@ class TestClosedFormOptimum:
             calls.append(1)
             return eigvalsh(m)
 
-        def least(a, lam):
-            return eigvalsh(structured_matrix(a - lam))[0]
-
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        for n, raw in maps:
+        for name, raw in maps:
             a = validate_coefficients(raw)
             floor = a.structured_floor
             calls.clear()
             hi = _structured_root(a.a, floor)
-            below = math.nextafter(hi, -math.inf)
-            assert least(a.a, hi) < 0.0, raw.tolist()
-            assert below == floor or least(a.a, below) >= 0.0, raw.tolist()
-            if n is not None and n >= 4:
-                assert len(calls) < 25, (n, len(calls))
+            solves = len(calls)
+            values = eigvalsh(structured_matrix(a.a - hi))
+            rounding = a.n * 2.0 ** -52 * np.abs(values).max()
+            assert floor < hi and -rounding <= values[0] < 0.0
+            assert abs(hi - adjacent_float_root(a.a, floor)) <= rounding, raw.tolist()
+            if name is not None:
+                assert solves <= 10, (name, solves)
+
+    def test_same_witnesses_as_the_adjacent_float_root(self, monkeypatch):
+        # on every corpus array the probe finds a witness exactly where it finds one at
+        # the root closed to adjacent floats, of normalized value within 1e-12 of that one
+        arrays = [
+            (name, validate_coefficients(raw))
+            for name, raw in corpus.corpus()
+            if not isinstance(raw, str)
+        ]
+        found = [indecomposability_probe(a) for _, a in arrays]
+        monkeypatch.setattr(search, "_structured_root", adjacent_float_root)
+        for (name, a), cert in zip(arrays, found):
+            reference = indecomposability_probe(a)
+            assert (cert is None) == (reference is None), name
+            if cert is not None:
+                assert abs(cert.normalized_value - reference.normalized_value) <= 1e-12, name
+        assert sum(cert is not None for cert in found) == 995
 
     def test_pruned_map(self):
         floor = PRUNED.structured_floor
