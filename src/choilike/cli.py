@@ -52,8 +52,8 @@ from .search import (
 
 # the largest accepted matrix side, which bounds the size of every input
 MAX_SIDE = 16
-# how many values each reproduction name reads from --a; the other names read none
-_A_COUNTS = {"boundary": 3, "kye-boundary": 1}
+# the reproduction names, each with how many values it reads from --a
+_A_COUNTS = {"choi": 0, "example5": 0, "boundary": 3, "kye-boundary": 1}
 
 
 def _reject_non_finite(token: str):
@@ -102,29 +102,9 @@ def read_matrix_file(path: str) -> tuple[CoefficientMatrix, np.ndarray | None]:
     return a, x
 
 
-def _conditions_list(report: ConditionReport) -> list[dict]:
-    return [
-        {"name": name, "status": v.status, "margin": v.margin, "detail": v.detail}
-        for name, v in report.rows
-    ]
-
-
-def _violation_dict(cert: ViolationCertificate) -> dict:
-    return {
-        "p": cert.p.tolist(),
-        "q": cert.q.tolist(),
-        "gap": cert.gap,
-        "residual_check": cert.residual_check,
-    }
-
-
-def _witness_dict(cert: PptWitnessCertificate) -> dict:
-    return {
-        "alpha": cert.alpha.tolist(),
-        "r": cert.r.tolist(),
-        "trace_value": cert.trace_value,
-        "normalized_value": cert.normalized_value,
-    }
+def _record(record) -> dict:
+    """A report dataclass's fields, arrays as lists; vars() holds them in declaration order."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(record).items()}
 
 
 def build_document(
@@ -140,15 +120,16 @@ def build_document(
         "input": {"n": A.n, "A": A.a.tolist()},
         "form": report.form.tag if report else None,
         "form_parameters": dict(report.form.parameters) if report else None,
-        "conditions": _conditions_list(report) if report else [],
+        # a Verdict holds no arrays, so its fields are written as they are
+        "conditions": [{"name": name, **vars(v)} for name, v in report.rows] if report else [],
         "summary": list(summary),
     }
     if extra:
         doc.update(extra)
     if violation is not None:
-        doc["violation_certificate"] = _violation_dict(violation)
+        doc["violation_certificate"] = _record(violation)
     if witness is not None:
-        doc["ppt_witness"] = _witness_dict(witness)
+        doc["ppt_witness"] = _record(witness)
     doc["config"] = {"tolerance": tolerance}  # main adds the output format
     doc["version"] = __version__
     return doc
@@ -355,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("search", help="positivity-violation search only"))
     add_common(sub.add_parser("probe", help="indecomposability witness search only"))
     rep = sub.add_parser("reproduce", help="rebuild a named instance and its headline check")
-    rep.add_argument("name", choices=("choi", "example5", "boundary", "kye-boundary"))
+    rep.add_argument("name", choices=tuple(_A_COUNTS))
     rep.add_argument("--a", type=float, nargs="+", default=None, help="diagonal parameters")
     add_common(rep, with_input=False)
     return parser
@@ -366,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         require_tolerance(args.tol)
         if args.command == "reproduce":
-            count = _A_COUNTS.get(args.name, 0)
+            count = _A_COUNTS[args.name]
             if args.a is not None and len(args.a) != count:
                 raise ValueError(
                     f"reproduce {args.name} takes {count} value(s) via --a, got {len(args.a)}"

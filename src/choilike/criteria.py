@@ -227,7 +227,7 @@ def c3_mean(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Verdict:
 def cyclic_necessary(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Verdict:
     """Necessary bound a* + b + c >= 2 for cyclic matrices with constant
     b, c > 0 and every a_i >= 1.  A failure certifies non-positivity."""
-    if A.n != 3 or not matches_cyclic_bc(A):
+    if not matches_cyclic_bc(A):
         return not_applicable("requires constant b and c slots (n = 3)")
     a, (b, _, _), (c, _, _) = A.slots
     if b <= 0.0 or c <= 0.0:
@@ -242,7 +242,7 @@ def b_only_necessary(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) ->
     """Necessary bound a* + b* >= 2 for matrices with zero c slots,
     positive b slots and every a_i >= 1.  A failure certifies
     non-positivity."""
-    if A.n != 3 or not matches_b_only(A):
+    if not matches_b_only(A):
         return not_applicable("requires zero c slots and positive b slots (n = 3)")
     if min(A.slots[0]) < 1.0:
         return not_applicable("requires every a_i >= 1")
@@ -319,7 +319,7 @@ def boundary_proposition(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND
     both the closed-form and the numerically evaluated determinant,
     which must agree.
     """
-    if A.n != 3 or not matches_cyclic_bc(A):
+    if not matches_cyclic_bc(A):
         return not_applicable("requires constant b and c slots (n = 3)")
     adiag, (b, _, _), (c, _, _) = A.slots
     if c != 0.0:
@@ -447,7 +447,7 @@ def full_report(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Cond
 
     kye_verdict = not_applicable("zero-b pattern not matched")
     kye_holds, kye_fails = (), ()
-    if A.n == 3 and matches_kye_form(A):
+    if matches_kye_form(A):
         (a, _, _), _, c = A.slots
         k = KyeParams(a, *c)
         kye_verdict = kye_check(k, band)
@@ -469,7 +469,7 @@ def full_report(A: CoefficientMatrix, band: float = DEFAULT_MARGIN_BAND) -> Cond
     # an exactly verified decomposition; its failure refutes nothing
     structured_verdict = Verdict(
         HOLDS if A.decomposition_verified else FAILS,
-        A.structured_floor,
+        A.structured_floor[0],
         "lambda_min(T), T_ii = a_ii, T_ij = -max(0, 1 - sqrt(a_ij a_ji)); "
         "holds when T decomposes the map, checked in exact rationals",
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
+UNIT_ROUNDING = 2.0 ** -52  # spacing of doubles just above 1
 
 
 def require_hermitian(matrix) -> np.ndarray:
@@ -43,6 +44,16 @@ def require_hermitian(matrix) -> np.ndarray:
 def hermitian_eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending, by numpy.linalg.eigvalsh (LAPACK)."""
     return np.linalg.eigvalsh(require_hermitian(matrix))
+
+
+def least_eigenvalue(matrix: np.ndarray) -> tuple[float, float]:
+    """(lambda_min, n 2^-52 ||matrix||_2) of a real symmetric matrix, from one eigvalsh.
+
+    eigvalsh is backward stable, so the second bounds the rounding of the first.
+    """
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    low = float(eigenvalues[0])
+    return low, matrix.shape[0] * UNIT_ROUNDING * max(-low, float(eigenvalues[-1]))
 
 
 def is_psd(matrix, tol: float) -> tuple[bool, float]:

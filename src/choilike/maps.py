@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import require_hermitian
+from .linalg import least_eigenvalue, require_hermitian
 
 NEGATIVE_CLAMP = 1e-12
 # nonzero coefficients lie here, so products and quotients of up to six are normal floats
@@ -56,11 +56,12 @@ class CoefficientMatrix:
         return (a1, a2, a3), (b1, b2, b3), (c1, c2, c3)
 
     @functools.cached_property
-    def structured_floor(self) -> float:
-        """lambda_min(T), T = structured_matrix(a), computed once; it decides the structured family.
+    def structured_floor(self) -> tuple[float, float]:
+        """(lambda_min(T), n 2^-52 ||T||_2) by linalg.least_eigenvalue, T = structured_matrix(a).
 
-        T_ii = a_ii and T_ij = -mu_ij with mu_ij = max(0, 1 - sqrt(a_ij a_ji)).
-        With maximal cross terms the pairing of a structured PPT state is
+        lambda_min(T) decides the structured family.  T_ii = a_ii and
+        T_ij = -mu_ij with mu_ij = max(0, 1 - sqrt(a_ij a_ji)).  With
+        maximal cross terms the pairing of a structured PPT state is
         Tr(rho C) = sum_{i,k} a_ki alpha_ik - 2 sum_{i<j} min(sqrt(alpha_ii
         alpha_jj), sqrt(alpha_ij alpha_ji)).  By AM-GM each pair adds at least
         -2 mu_ij x_i x_j, x_i = sqrt(alpha_ii), so Tr(rho C) >= x^T T x >=
@@ -70,7 +71,7 @@ class CoefficientMatrix:
         limit), whose state is positive when every pair in the support of
         its x has mu_ij > 0.  Reading it runs no exact check.
         """
-        return float(np.linalg.eigvalsh(self.structured)[0])
+        return least_eigenvalue(self.structured)
 
     @functools.cached_property
     def structured(self) -> np.ndarray:
@@ -89,11 +90,12 @@ class CoefficientMatrix:
         2 x 2 blocks [[a_ki, -(1 + M_ik)], [-(1 + M_ik), a_ik]] on
         {|ik>, |ki>}.  T is such an M whenever it is positive semidefinite, so
         lambda_min(T) >= 0 proves Phi_A decomposable and hence positive.  A
-        clearly negative structured_floor returns False at once; otherwise T
-        is moved into the box by _box_certificate and its positivity is
-        decided exactly by _rational_psd.
+        structured_floor below minus its rounding returns False at once;
+        otherwise T is moved into the box by _box_certificate and its
+        positivity is decided exactly by _rational_psd.
         """
-        if self.structured_floor < -structured_rounding(self):
+        floor, rounding = self.structured_floor
+        if floor < -rounding:
             return False
         m = _box_certificate(self, self.structured)
         return m is not None and _rational_psd(m)
@@ -218,17 +220,6 @@ def structured_matrix(a: np.ndarray) -> np.ndarray:
     t = -np.maximum(0.0, 1.0 - np.sqrt(a * a.T))
     np.fill_diagonal(t, np.diag(a))
     return t
-
-
-def structured_rounding(A: CoefficientMatrix) -> float:
-    """Bound on the rounding of lambda_min(T) and of the structured PPT pairing.
-
-    The pairing sums fewer than n^2 terms with partial sums below
-    max a + n, so it rounds off by less than 1e-14 n^2 (n + max a);
-    eigvalsh and the rounding of T add less than 1e-14 n (n + max a).
-    """
-    n = A.n
-    return 1e-14 * n * (n + 1) * (n + float(A.a.max()))
 
 
 _BOX_STEPS = 4

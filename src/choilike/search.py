@@ -39,19 +39,20 @@ import numpy as np
 
 from .criteria import DEFAULT_MARGIN_BAND, InternalInconsistencyError, require_tolerance
 from .linalg import (
+    UNIT_ROUNDING,
     determinant,
     hermitian_eigenvalues,
     is_psd,
+    least_eigenvalue,
     outer_product,
     require_hermitian,
 )
-from .maps import CoefficientMatrix, apply_map, structured_matrix, structured_rounding
+from .maps import CoefficientMatrix, apply_map, structured_matrix
 
 _GROW = 1.25
 _SHRINK = 0.5
 _MAX_ITERATIONS = 2000
 _STEP_TOLERANCE = 1e-12  # a start whose accepted step gains less than this stops
-_UNIT_ROUNDING = 2.0 ** -52  # spacing of doubles just above 1: the least move of a unit q
 _RANDOM_STARTS = 16  # random rows of the violation search, beside every pair seed
 
 
@@ -137,10 +138,10 @@ def _pair_seeds(A: CoefficientMatrix) -> np.ndarray:
     return seeds / np.sqrt(1.0 + t * t)[:, None]
 
 
-@functools.cache  # one read-only array per (n, count)
-def _random_rows(n: int, count: int) -> np.ndarray:
-    """count unit rows: -log of uniform draws from a new generator of fixed seed, normalized."""
-    draws = -np.log(np.random.default_rng(42).random((count, n)))
+@functools.cache  # one read-only array per side n
+def _random_rows(n: int) -> np.ndarray:
+    """_RANDOM_STARTS unit rows: -log of uniform draws of a fixed seed, normalized."""
+    draws = -np.log(np.random.default_rng(42).random((_RANDOM_STARTS, n)))
     rows = draws / np.linalg.norm(draws, axis=1, keepdims=True)
     rows.setflags(write=False)
     return rows
@@ -151,7 +152,7 @@ def _start_points(A: CoefficientMatrix) -> np.ndarray:
 
     The start set is a function of A alone, returned in a new array.
     """
-    return np.concatenate([_pair_seeds(A), _random_rows(A.n, _RANDOM_STARTS)])
+    return np.concatenate([_pair_seeds(A), _random_rows(A.n)])
 
 
 def _project_unit_nonneg(mat: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -303,7 +304,7 @@ def find_positivity_violation(
         over = reach > 2.0 / step
         if over.any():
             step[over] = 2.0 / reach[over]
-        going = (step * reach > _UNIT_ROUNDING) & ~settled
+        going = (step * reach > UNIT_ROUNDING) & ~settled
         if not going.all():
             q, p, grad, g, step = q[going], p[going], grad[going], g[going], step[going]
     return found
@@ -409,15 +410,14 @@ def _structured_root(a: np.ndarray, floor: float) -> float:
     with slope -1, so lambda_min(T_lam) falls with slope at most -1: from
     floor < 0 at lam = 0 it is at least 0 at lam = floor, and its root
     lam* lies between.  A trial hi with -rounding <= lambda_min(T_hi) < 0,
-    rounding = n 2^-52 ||T_hi||_2 (eigvalsh is backward stable), ends the
-    search, and by the slope lam* <= hi <= lam* + rounding.  ||T_hi||_2 is
-    the largest |eigenvalue| of T_hi; near the root it can be far below the
-    entries of A.
+    rounding = n 2^-52 ||T_hi||_2 from linalg.least_eigenvalue, ends the
+    search, and by the slope lam* <= hi <= lam* + rounding.  Near the root
+    ||T_hi||_2 can be far below the entries of A.
 
     The bracket [lo, hi] keeps lambda_min(T_hi) < 0 and
     lambda_min(T_lo) >= 0, or lo = floor not yet evaluated.  The first
-    trial is the midpoint, so floor itself is never evaluated: within the
-    rounding allowance of the entry check it can exceed 0, where a zero
+    trial is the midpoint, so floor itself is never evaluated: past the
+    entry check it can still exceed 0 by its own rounding, where a zero
     a_ij makes a product (a_ij - lam)(a_ji - lam) negative under its
     square root.  Each later trial is the regula falsi point, kept one
     float inside the bracket, of lambda_min(T_lam) plus half its rounding
@@ -429,16 +429,13 @@ def _structured_root(a: np.ndarray, floor: float) -> float:
     the bracket closes to adjacent floats first, hi is returned, 0.0 when
     no trial was negative.
     """
-    n = a.shape[0]
     lo, hi = floor, 0.0
     f_lo = g_lo = None  # lambda_min(T_lo), and that plus half its rounding
     g_hi = floor  # lambda_min(T_0) = floor
     kept = 0  # +1 after hi moved, -1 after lo moved
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        eigenvalues = np.linalg.eigvalsh(structured_matrix(a - mid))
-        f = float(eigenvalues[0])
-        rounding = n * _UNIT_ROUNDING * max(-f, float(eigenvalues[-1]))  # n 2^-52 ||T_lam||_2
+        f, rounding = least_eigenvalue(structured_matrix(a - mid))
         if f < 0.0:
             if f >= -rounding:
                 return mid
@@ -492,9 +489,10 @@ def indecomposability_probe(
     dropped.  The root is then found again on the remaining indices K: a
     state on K (x) K is a witness for A too, since C restricted to it is
     the block matrix of A[K, K].  The probe returns None once
-    lambda_min(T_0[K]) exceeds -tolerance by more than its rounding; with
-    K all indices this is the entry check, on the floor cached on A, and
-    the family then holds no witness.  On the constant cyclic maps
+    lambda_min(T_0[K]) exceeds -tolerance by more than its rounding, both
+    read from A[K, K].structured_floor by the rule of every root trial;
+    with K all indices this is the entry check, and the family then holds
+    no witness.  On the constant cyclic maps
     (a, b, c), lambda_min(T_0) = a - 2 max(0, 1 - sqrt(bc)), whose sign
     changes exactly on the Cho-Kye-Lee decomposability boundary
     4bc = (2 - a)^2, a < 2.
@@ -512,8 +510,8 @@ def indecomposability_probe(
     keep = np.arange(n)
     sub = A
     while True:
-        floor = sub.structured_floor
-        if floor > -tolerance + structured_rounding(A):
+        floor, rounding = sub.structured_floor
+        if floor > -tolerance + rounding:
             return None
         lam = _structured_root(sub.a, floor)
         if lam == 0.0:  # lambda_min(T_lam) >= 0 for every lam < 0 tried: no state pairs below 0

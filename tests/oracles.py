@@ -39,7 +39,7 @@ from choilike.criteria import (
     not_applicable,
     require_tolerance,
 )
-from choilike.linalg import hermitian_eigenvalues, outer_product, require_hermitian
+from choilike.linalg import UNIT_ROUNDING, hermitian_eigenvalues, outer_product, require_hermitian
 from choilike.maps import (
     COEFFICIENT_RANGE,
     NEGATIVE_CLAMP,
@@ -435,7 +435,7 @@ def masked_violation_search(
         reach = np.abs(search._tangent_gradient(Q[run], grad[run])).max(axis=1)
         over = reach > 2.0 / step[run]  # such a step cannot move a unit q any further
         step[run[over]] = 2.0 / reach[over]
-        active[run] &= step[run] * reach > search._UNIT_ROUNDING
+        active[run] &= step[run] * reach > UNIT_ROUNDING
 
 
 def _numpy_slots(A: CoefficientMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

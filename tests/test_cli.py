@@ -113,13 +113,34 @@ class TestAnalyze:
         replayed = float(np.trace(rho @ choi_matrix(a)).real)
         assert abs(replayed - w["trace_value"]) < 1e-10
 
-    def test_witness_fields_are_the_report_keys_in_order(self):
-        keys = ["alpha", "r", "trace_value", "normalized_value"]
-        assert [f.name for f in dataclasses.fields(search.PptWitnessCertificate)] == keys
-        cert = search.indecomposability_probe(validate_coefficients(CHOI["A"]))
-        witness = cli._witness_dict(cert)
-        assert list(witness) == keys
-        assert witness["alpha"] == cert.alpha.tolist() and witness["r"] == cert.r.tolist()
+    @pytest.mark.parametrize(
+        "key,keys",
+        [
+            ("conditions", ["name", "status", "margin", "detail"]),
+            ("violation_certificate", ["p", "q", "gap", "residual_check"]),
+            ("ppt_witness", ["alpha", "r", "trace_value", "normalized_value"]),
+        ],
+        ids=["condition", "violation", "witness"],
+    )
+    def test_record_fields_are_the_report_keys_in_order(self, key, keys):
+        # each record is written from its dataclass fields, in order, arrays as lists
+        raw = counterexample_payload()["A"] if key == "violation_certificate" else CHOI["A"]
+        a = validate_coefficients(raw)
+        doc = cli.run_analysis(a, DEFAULT_MARGIN_BAND)
+        if key == "conditions":
+            records, rows = [v for _, v in criteria.full_report(a).rows], doc["conditions"]
+        elif key == "violation_certificate":
+            records, rows = [search.find_positivity_violation(a)], [doc[key]]
+        else:
+            records, rows = [search.indecomposability_probe(a)], [doc[key]]
+        fields = [k for k in keys if k != "name"]  # a condition row names its criterion first
+        assert [f.name for f in dataclasses.fields(records[0])] == fields
+        assert len(rows) == len(records)
+        for row, record in zip(rows, records):
+            assert list(row) == keys
+            for name in fields:
+                value = getattr(record, name)
+                assert row[name] == (value.tolist() if isinstance(value, np.ndarray) else value)
 
     def test_near_boundary_at_wide_tol(self, tmp_path, capsys):
         # a* + b = 2.0005 lies inside a 1e-3 band but off the a* + b = 2
@@ -424,7 +445,7 @@ class TestWideMaps:
         code, doc = run_json(capsys, "analyze", "-i", write(tmp_path, WIDE9))
         assert code == 0 and doc["summary"] == ["not_positive_proven"]
         assert doc["violation_certificate"]["gap"] == cert.gap
-        monkeypatch.setattr(search, "_RANDOM_STARTS", 0)
+        monkeypatch.setattr(search, "_random_rows", lambda n: np.empty((0, n)))  # no random start
         assert search.find_positivity_violation(a) is None
 
 class TestDefaults:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from choilike import maps
 from choilike.criteria import full_report
-from choilike.linalg import is_psd, determinant, outer_product
+from choilike.linalg import UNIT_ROUNDING, is_psd, determinant, outer_product
 from choilike.maps import (
     _box_certificate,
     _rational_psd,
@@ -27,6 +27,7 @@ from choilike.maps import (
     structured_matrix,
     validate_coefficients,
 )
+import corpus
 from oracles import (
     ScalingVector,
     choi_matrix,
@@ -271,6 +272,26 @@ BOUNDARY_MAPS += [("ckl-2-0-0", constant_ckl_matrix(CklParams(2, 0, 0)).a)]
 BOUNDARY_MAPS += [(f"diag-{n}", np.eye(n) * (n - 1)) for n in range(2, 9)]
 
 
+def _corpus_arrays():
+    return [raw for _, raw in corpus.corpus() if not isinstance(raw, str)]
+
+
+def _singular_t_maps():
+    """n = 3 maps with a_ij = a_ji = 1 - x_ij, x_ij in [0, 0.9), and a_ii = -lambda_min(T(x)).
+
+    T(x) has zero diagonal and off-diagonal -x_ij, so T of the map is
+    T(x) - lambda_min(T(x)) I, singular up to rounding.
+    """
+    rng = np.random.default_rng(5)
+    out = []
+    for _ in range(2000):
+        upper = np.triu(1.0 - rng.uniform(0.0, 0.9, (3, 3)), 1)
+        raw = upper + upper.T
+        np.fill_diagonal(raw, -np.linalg.eigvalsh(structured_matrix(raw))[0])
+        out.append(raw)
+    return out
+
+
 class TestDecompositionCheck:
     """An exactly verified M >= 0 with M_ii = a_ii and (1 + M_ij)^2 <= a_ij a_ji."""
 
@@ -303,7 +324,7 @@ class TestDecompositionCheck:
         for abc in _ckl_grid():
             a_val, b, c = abc
             a = constant_ckl_matrix(CklParams(*abc))
-            verified, floor = a.decomposition_verified, a.structured_floor
+            verified, floor = a.decomposition_verified, a.structured_floor[0]
             assert floor == pytest.approx(a_val - 2 * max(0.0, 1 - np.sqrt(b * c)), abs=1e-12)
             if verified:
                 passed += 1
@@ -323,7 +344,7 @@ class TestDecompositionCheck:
             raw = rng.random((n, n)) * rng.choice([1.0, 2.0]) * (rng.random((n, n)) > 0.1)
             np.fill_diagonal(raw, rng.uniform(0.0, n - 1, n))
             a = validate_coefficients(raw)
-            verified, floor = a.decomposition_verified, a.structured_floor
+            verified, floor = a.decomposition_verified, a.structured_floor[0]
             assert verified == (floor >= 0), (raw.tolist(), floor)  # no near-singular draws
             if verified:
                 passed += 1
@@ -343,6 +364,25 @@ class TestDecompositionCheck:
         assert not _rational_psd(mutated)
         monkeypatch.setattr(maps, "structured_matrix", lambda _: mutated)
         assert not validate_coefficients(raw).decomposition_verified  # a keeps its cached verdict
+
+    @pytest.mark.parametrize("maps_of", [_corpus_arrays, _singular_t_maps], ids=["corpus", "singular-t"])
+    def test_rounding_is_that_of_the_spectrum(self, maps_of):
+        # the floor's rounding is n 2^-52 ||T||_2, and the early exit below minus it
+        # drops no map that the exact check alone verifies
+        verified = refuted = 0
+        for raw in maps_of():
+            a = validate_coefficients(raw)
+            floor, rounding = a.structured_floor
+            eigenvalues = np.linalg.eigvalsh(structured_matrix(a.a))
+            assert floor == eigenvalues[0]
+            assert rounding == a.n * UNIT_ROUNDING * max(abs(eigenvalues))
+            m = _certificate(a)
+            exact = m is not None and _rational_psd(m)
+            assert a.decomposition_verified == exact
+            assert not exact or floor >= -rounding
+            verified += exact
+            refuted += not exact
+        assert verified and refuted
 
     def test_box_steps_repair_rounded_entries(self):
         # 1 - fl(1 - fl(sqrt(fl(0.01 * 0.01)))) exceeds the exact sqrt, so 1 + T_12
@@ -385,7 +425,7 @@ class TestDecompositionCheck:
         monkeypatch.setattr(maps, "_box_certificate", None)  # a call would raise
         a = constant_ckl_matrix(CklParams(*abc))
         assert not a.decomposition_verified
-        assert a.structured_floor == pytest.approx(floor, abs=1e-12)
+        assert a.structured_floor[0] == pytest.approx(floor, abs=1e-12)
 
 
 def fraction_box_certificate(A, t):

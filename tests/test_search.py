@@ -12,6 +12,7 @@ from choilike.criteria import DEFAULT_MARGIN_BAND as TOL
 from choilike.criteria import MIN_TOLERANCE, full_report
 from choilike import search
 from choilike.linalg import (
+    UNIT_ROUNDING,
     hermitian_eigenvalues,
     is_psd,
     outer_product,
@@ -23,7 +24,6 @@ from choilike.maps import (
     apply_map,
     kye_matrix,
     structured_matrix,
-    structured_rounding,
     validate_coefficients,
 )
 from choilike.search import (
@@ -353,7 +353,7 @@ class TestRandomStarts:
         a = _corpus_draw(seed, k, sparse)
         cert = find_positivity_violation(a)
         assert cert is not None and cert.gap == pytest.approx(gap, rel=1e-6)
-        monkeypatch.setattr(search, "_RANDOM_STARTS", 0)
+        monkeypatch.setattr(search, "_random_rows", lambda n: np.empty((0, n)))  # no random start
         assert find_positivity_violation(a) is None
 
     def test_random_rows_beside_more_seeds_than_starts(self):
@@ -505,7 +505,7 @@ def full_descent(A):
         reach = np.abs(search._tangent_gradient(Q[run], grad[run])).max(axis=1)
         over = reach > 2.0 / step[run]
         step[run[over]] = 2.0 / reach[over]
-        active[run] &= step[run] * reach > search._UNIT_ROUNDING
+        active[run] &= step[run] * reach > UNIT_ROUNDING
     best = int(np.argmin(G))
     return crossing, positivity_gap(A, P[best], Q[best]) < -TOL
 
@@ -1180,7 +1180,7 @@ class TestGradientBound:
         monkeypatch.setattr(CoefficientMatrix, "structured_floor", property(recording))
         a = validate_coefficients(raw)
         assert indecomposability_probe(a) is not None
-        assert bounds and max(bounds) <= -TOL
+        assert bounds and max(floor for floor, _ in bounds) <= -TOL
 
 
 class TestStructuredFloor:
@@ -1194,7 +1194,7 @@ class TestStructuredFloor:
             raw = rng.random((n, n)) * rng.choice([0.5, 1.5, 4.0]) * (rng.random((n, n)) > 0.2)
             a = validate_coefficients(raw)
             alpha = _simplex_point(rng, n)
-            floor = a.structured_floor * float(np.trace(alpha))
+            floor = a.structured_floor[0] * float(np.trace(alpha))
             assert pairing(a, alpha) >= floor - 1e-12
 
     def test_eigenvector_profile_attains_the_floor(self):
@@ -1215,7 +1215,7 @@ class TestStructuredFloor:
                 # alpha_ij alpha_ji = x_i^2 x_j^2 with alpha_ij : alpha_ji = a_ij : a_ji
                 ratio = np.sqrt(raw[i, j] / raw[j, i])
                 alpha[i, j], alpha[j, i] = x[i] * x[j] * ratio, x[i] * x[j] / ratio
-            assert lam[0] == pytest.approx(a.structured_floor, abs=1e-12)
+            assert lam[0] == pytest.approx(a.structured_floor[0], abs=1e-12)
             assert pairing(a, alpha) == pytest.approx(lam[0], abs=1e-12)
 
     def test_ckl_grid_matches_the_decomposability_boundary(self):
@@ -1227,7 +1227,7 @@ class TestStructuredFloor:
                     if abs(4 * b * c - (2 - a_val) ** 2) < 1e-9:
                         continue
                     tested += 1
-                    floor = constant_ckl_matrix(CklParams(a_val, b, c)).structured_floor
+                    floor = constant_ckl_matrix(CklParams(a_val, b, c)).structured_floor[0]
                     assert floor == pytest.approx(
                         a_val - 2 * max(0.0, 1 - np.sqrt(b * c)), abs=1e-12
                     )
@@ -1238,7 +1238,7 @@ class TestStructuredFloor:
     @pytest.mark.parametrize("raw", [m[1] for m in WITNESS_MAPS], ids=[m[0] for m in WITNESS_MAPS])
     def test_negative_when_a_witness_exists(self, raw):
         a = validate_coefficients(raw)
-        assert a.structured_floor < -TOL
+        assert a.structured_floor[0] < -TOL
         assert indecomposability_probe(a) is not None
 
 
@@ -1310,7 +1310,7 @@ class TestClosedFormOptimum:
             for b in values:
                 for c in values:
                     a = constant_ckl_matrix(CklParams(a_val, b, c))
-                    if a.structured_floor < -1e-9:
+                    if a.structured_floor[0] < -1e-9:
                         found += 1
                         _verified(a, indecomposability_probe(a))
         assert found == 316
@@ -1324,7 +1324,7 @@ class TestClosedFormOptimum:
         for _ in range(200):
             n = int(rng.integers(2, 7))
             a = validate_coefficients(rng.random((n, n)) * 1.5)
-            floor = a.structured_floor
+            floor = a.structured_floor[0]
             if floor >= -1e-6:
                 continue
             lam = _structured_root(a.a, floor)
@@ -1351,7 +1351,7 @@ class TestClosedFormOptimum:
         while len(maps) < 86:
             n = int(rng.integers(2, 9))
             a = rng.random((n, n)) * 1.5 * (rng.random((n, n)) > 0.2)
-            if validate_coefficients(a).structured_floor < 0.0:
+            if validate_coefficients(a).structured_floor[0] < 0.0:
                 maps.append((None, a))
         calls = []
         eigvalsh = np.linalg.eigvalsh
@@ -1363,7 +1363,7 @@ class TestClosedFormOptimum:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         for name, raw in maps:
             a = validate_coefficients(raw)
-            floor = a.structured_floor
+            floor = a.structured_floor[0]
             calls.clear()
             hi = _structured_root(a.a, floor)
             solves = len(calls)
@@ -1392,7 +1392,7 @@ class TestClosedFormOptimum:
         assert sum(cert is not None for cert in found) == 995
 
     def test_pruned_map(self):
-        floor = PRUNED.structured_floor
+        floor = PRUNED.structured_floor[0]
         _, drop = search._witness_profile(PRUNED.a, _structured_root(PRUNED.a, floor))
         assert drop == 4
         cert = indecomposability_probe(PRUNED)
@@ -1408,14 +1408,17 @@ class TestClosedFormOptimum:
         cert = indecomposability_probe(validate_coefficients(raw))
         assert psd_feasible_cross_terms(cert.alpha, cert.r)[1] == 1.0
 
-    def test_no_negative_root(self):
-        # lambda_min(T) = 1e-13 passes the entry check only because the rounding
-        # allowance of the 1e6 entries, 1.2e-7, exceeds the tolerance; no lam < 0
-        # has lambda_min(T_lam) < 0, and the zero entries would make the profile
-        # at lam = 0 infinite
+    def test_no_negative_root(self, monkeypatch):
+        # lambda_min(T) = 1e-13 is above the rounding of T's own spectrum, 2e-15,
+        # beside the 1e6 entries, so the entry check ends the probe before any root
+        # is sought; no lam < 0 has lambda_min(T_lam) < 0, and the zero entries would
+        # make the profile at lam = 0 infinite
         d = 2 + 1e-13
         a = validate_coefficients([[d, 0, 1e6], [1e6, d, 0], [0, 1e6, d]])
-        assert 0 < a.structured_floor < MIN_TOLERANCE < structured_rounding(a)
+        floor, rounding = a.structured_floor
+        assert 0 < rounding < floor < MIN_TOLERANCE
+        assert rounding == 3 * UNIT_ROUNDING * max(abs(np.linalg.eigvalsh(a.structured)))
+        monkeypatch.setattr(search, "_structured_root", None)  # a call would raise
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert indecomposability_probe(a, tolerance=MIN_TOLERANCE) is None
