@@ -4,8 +4,8 @@ Input files are UTF-8 JSON objects {"n": int, "A": [[...], ...]}, with
 2 <= n <= 16 and an optional Hermitian "X" whose entries are either plain
 reals or [re, im] pairs.  Each entry of A is 0 or in [1e-50, 1e50]
 (maps.COEFFICIENT_RANGE), after entries in (-1e-12, 0) become 0.
-Reports are emitted as JSON with fixed field names or as a plain-text
-table; identical invocations (same file and flags) produce
+Reports are emitted as one line of JSON with fixed field names or as a
+plain-text table; identical invocations (same file and flags) produce
 byte-identical output.  The tolerance (--tol) is the only analysis
 setting.
 
@@ -20,7 +20,6 @@ import argparse
 import cmath
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -176,52 +175,9 @@ def render_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_ESCAPE = json.encoder.encode_basestring_ascii  # the C string escaper of json.dumps
-
-
-def _to_json(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2, allow_nan=False), without its pure-Python encoder.
-
-    With indent set, json.dumps falls back to CPython's pure-Python
-    encoder; this writes the same bytes for dicts with string keys, lists,
-    tuples, strings, numbers, booleans and None.  ``indent`` is that of
-    the line ``value`` starts on.
-    """
-    if isinstance(value, str):
-        return _ESCAPE(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        try:  # a list of finite floats is joined at once, anything else item by item
-            items = list(map(float.__repr__, value))
-            finite = all(map(math.isfinite, value))
-        except TypeError:
-            finite = False
-        if not finite:
-            items = [_to_json(v, inner) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [_ESCAPE(k) + ": " + _to_json(v, inner) for k, v in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(_to_json(doc) + "\n")
+        sys.stdout.write(json.dumps(doc, allow_nan=False) + "\n")
     else:
         sys.stdout.write(render_text(doc))
 

@@ -906,27 +906,31 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-REPORT_FLOATS = (
-    FINITE
-    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16, 1e-7])
-    | FINITE.map(np.float64)
-)
-REPORT_SCALARS = st.none() | st.booleans() | st.integers() | REPORT_FLOATS | st.text()
-REPORT_VALUES = st.recursive(
-    REPORT_SCALARS | st.lists(REPORT_FLOATS, max_size=6),  # a list of floats is joined at once
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=30,
-)
+# the inputs whose analyze, search and probe reports, beside every reproduce name, are checked
+REPORT_INPUTS = {
+    "choi": CHOI,
+    "all-ones": ALL_ONES,
+    "counterexample": counterexample_payload(),
+    "gchoi8": GCHOI8,
+}
 
 
 class TestJsonWriter:
-    """cli._to_json writes the bytes of json.dumps(value, indent=2, allow_nan=False)."""
+    """cli.emit writes a JSON report as the one line json.dumps(doc, allow_nan=False)."""
 
-    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
-    @given(REPORT_VALUES)
-    def test_bytes_of_json_dumps(self, value):
-        assert cli._to_json(value) == json.dumps(value, indent=2, allow_nan=False)
+    @pytest.mark.parametrize(
+        "command,name",
+        [(c, name) for c in ("analyze", "search", "probe") for name in REPORT_INPUTS]
+        + [("reproduce", name) for name in cli._A_COUNTS],
+    )
+    def test_emitted_reports_are_json_dumps(self, tmp_path, capsys, command, name):
+        if command == "reproduce":
+            argv = [command, name]
+        else:
+            argv = [command, "-i", write(tmp_path, REPORT_INPUTS[name])]
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), allow_nan=False) + "\n"
 
     @pytest.mark.parametrize(
         "value",
@@ -940,14 +944,18 @@ class TestJsonWriter:
         ],
         ids=["empty-dict", "empty-list", "nested-empties", "strings", "keys-and-scalars", "tuples"],
     )
-    def test_edge_values(self, value):
-        assert cli._to_json(value) == json.dumps(value, indent=2, allow_nan=False)
+    def test_edge_values(self, capsys, value):
+        """Each value is one ASCII line that reads back as the value, with tuples as lists."""
+        cli.emit(value, "json")
+        out = capsys.readouterr().out
+        assert out.isascii() and out.count("\n") == 1 and out.endswith("\n")
+        assert json.loads(out) == json.loads(json.dumps(value))
 
     @pytest.mark.parametrize(
         "bad", [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)]
     )
     @pytest.mark.parametrize("where", ["alone", "in-float-list", "in-mixed-list", "in-dict"])
-    def test_non_finite_raises_value_error(self, bad, where):
+    def test_non_finite_raises_value_error(self, capsys, bad, where):
         value = {
             "alone": bad,
             "in-float-list": [1.0, bad, 2.0],
@@ -955,16 +963,11 @@ class TestJsonWriter:
             "in-dict": {"a": {"b": bad}},
         }[where]
         with pytest.raises(ValueError) as want:
-            json.dumps(value, indent=2, allow_nan=False)
+            json.dumps(value, allow_nan=False)
         with pytest.raises(ValueError) as got:
-            cli._to_json(value)
+            cli.emit(value, "json")
         assert str(got.value) == str(want.value)
-
-    def test_emitted_reports_are_json_dumps(self, tmp_path, capsys):
-        for payload in (CHOI, ALL_ONES, counterexample_payload(), GCHOI8):
-            code, out = run_cli(capsys, "analyze", "-i", write(tmp_path, payload), "--format", "json")
-            assert code == 0
-            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert capsys.readouterr().out == ""
 
 
 # every entry is inside the coefficient range, but the image of X or its determinant is not finite
